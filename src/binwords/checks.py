@@ -714,61 +714,45 @@ class CheckConfig:
     seed: int = 0
 
 
-CHECK_NAMES = (
-    "erasure",
-    "mirror",
-    "desubstitution",
-    "matrix",
-    "cyclic",
-    "cube-mod1",
-    "cube-mod2",
-    "image-cube-free",
-    "identities",
-    "consistency",
-)
+# name -> (check function, CheckConfig fields passed positionally, takes seed);
+# the table order is the battery's registry order
+_CHECKS: dict[str, tuple[Callable[..., CheckReport], tuple[str, ...], bool]] = {
+    "erasure": (check_erasure, ("erasure_n",), False),
+    "mirror": (
+        check_mirror_closure,
+        ("mirror_scan_len", "mirror_max_factor", "mirror_margin"),
+        False,
+    ),
+    "desubstitution": (check_desubstitution, ("desub_scan_len", "desub_max_len"), False),
+    "matrix": (check_matrix_identity, ("matrix_trials", "matrix_max_len"), True),
+    "cyclic": (check_cyclic_shift, ("cyclic_trials", "cyclic_max_len"), True),
+    "cube-mod1": (check_unaligned_cube_mod1, ("cube_n_max",), False),
+    "cube-mod2": (check_unaligned_cube_mod2, ("cube_n_max",), False),
+    "image-cube-free": (
+        check_image_cube_freeness,
+        ("image_trials", "image_max_len", "image_exhaustive_len"),
+        True,
+    ),
+    "identities": (check_pair_identities, ("identity_trials", "identity_max_len"), True),
+    "consistency": (
+        check_signature_consistency,
+        ("consistency_trials", "consistency_max_len"),
+        True,
+    ),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(name: str, cfg: CheckConfig = CheckConfig()) -> CheckReport:
-    fault = name in cfg.fault
-    b = cfg.budget_ms
-    if name == "erasure":
-        return check_erasure(cfg.erasure_n, fault=fault, budget_ms=b)
-    if name == "mirror":
-        return check_mirror_closure(
-            cfg.mirror_scan_len, cfg.mirror_max_factor, cfg.mirror_margin,
-            fault=fault, budget_ms=b,
-        )
-    if name == "desubstitution":
-        return check_desubstitution(
-            cfg.desub_scan_len, cfg.desub_max_len, fault=fault, budget_ms=b
-        )
-    if name == "matrix":
-        return check_matrix_identity(
-            cfg.matrix_trials, cfg.matrix_max_len, seed=cfg.seed, fault=fault, budget_ms=b
-        )
-    if name == "cyclic":
-        return check_cyclic_shift(
-            cfg.cyclic_trials, cfg.cyclic_max_len, seed=cfg.seed, fault=fault, budget_ms=b
-        )
-    if name == "cube-mod1":
-        return check_unaligned_cube_mod1(cfg.cube_n_max, fault=fault, budget_ms=b)
-    if name == "cube-mod2":
-        return check_unaligned_cube_mod2(cfg.cube_n_max, fault=fault, budget_ms=b)
-    if name == "image-cube-free":
-        return check_image_cube_freeness(
-            cfg.image_trials, cfg.image_max_len, cfg.image_exhaustive_len,
-            seed=cfg.seed, fault=fault, budget_ms=b,
-        )
-    if name == "identities":
-        return check_pair_identities(
-            cfg.identity_trials, cfg.identity_max_len, seed=cfg.seed, fault=fault, budget_ms=b
-        )
-    if name == "consistency":
-        return check_signature_consistency(
-            cfg.consistency_trials, cfg.consistency_max_len,
-            seed=cfg.seed, fault=fault, budget_ms=b,
-        )
-    raise InvalidInputError(f"unknown check {name!r}")
+    """Run one check by registry name with its parameters taken from cfg."""
+    if name not in _CHECKS:
+        raise InvalidInputError(f"unknown check {name!r}")
+    fn, fields, seeded = _CHECKS[name]
+    kwargs: dict = {"fault": name in cfg.fault, "budget_ms": cfg.budget_ms}
+    if seeded:
+        kwargs["seed"] = cfg.seed
+    return fn(*(getattr(cfg, f) for f in fields), **kwargs)
 
 
 def run_all(

@@ -7,8 +7,9 @@ m = 1 case is abelian powers; one code path covers all of them.
 
 `find_power` reports the occurrence with minimal start, ties broken by
 minimal period, scanning candidates in that order.  Two engines share the
-semantics: a pure Python scan over PrefixIndex factor signatures, and a
-numpy scan (orders 1 and 2) that vectorizes each period over all starts.
+semantics: a pure Python scan over PrefixIndex block tests, and a numpy
+scan (orders 1 and 2) that vectorizes each period over all starts.  At
+orders 1 and 2 both test the same minimal block basis (words._block_basis).
 Results are cross-verified by independent signature recomputation.
 """
 
@@ -33,7 +34,9 @@ from .words import (
     PrefixIndex,
     Word,
     WordLike,
+    _block_basis,
     _check_order,
+    index_words,
     signature,
     word,
 )
@@ -62,7 +65,11 @@ class Occurrence:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of one detection run, with the examined-candidate counter."""
+    """Outcome of one detection run.
+
+    candidates counts the (start, period) pairs in canonical order up to and
+    including the occurrence, or all pairs when the word is power-free.
+    """
 
     word_len: int
     order: int
@@ -105,43 +112,62 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise BudgetExceededError("detection wall-clock budget exhausted")
 
 
+def _pairs_upto(n: int, p: int) -> int:
+    """Number of (start, period) pairs with start + p * period <= n, which is
+    the sum over L = 1..n of floor(L / p)."""
+    q, r = divmod(n, p)
+    return p * q * (q - 1) // 2 + q * (r + 1)
+
+
+def _candidates(n: int, p: int, occ: Optional[Occurrence]) -> int:
+    """(start, period) pairs in canonical order up to and including occ.
+
+    Every start s below occ.start contributes floor((n - s) / p) periods,
+    and occ's own start adds occ.period; a power-free word has all pairs.
+    The count is a function of (n, p, answer) alone, so it does not depend
+    on the engine that found the answer.
+    """
+    total = _pairs_upto(n, p)
+    if occ is None:
+        return total
+    return total - _pairs_upto(n - occ.start, p) + occ.period
+
+
 def _find_python(
     wd: Word, m: int, p: int, deadline: Optional[float], max_order: int
-) -> tuple[Optional[Occurrence], int]:
+) -> Optional[Occurrence]:
     idx = PrefixIndex(wd, m, max_order=max_order)
     n = len(wd)
-    checked = 0
+    ticks = 0
     for s in range(n):
         for t in range(1, (n - s) // p + 1):
-            checked += 1
-            if not checked & 1023:
+            ticks += 1
+            if not ticks & 1023:
                 _check_deadline(deadline)
             if idx.blocks_equivalent(s, t, p):
-                return Occurrence(s, t, p, m), checked
-    return None, checked
+                return Occurrence(s, t, p, m)
+    return None
 
 
-def _cumulative_columns(letters: np.ndarray, k: int, m: int) -> list[np.ndarray]:
-    """Columns cum[c][i] = count(prefix of length i, pattern c), canonical order."""
-    n = letters.shape[0]
-    cums = []
-    for a in range(k):
-        col = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(letters == a, out=col[1:])
-        cums.append(col)
-    if m == 2:
-        for a in range(k):
-            for b in range(k):
-                col = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(cums[a][:n] * (letters == b), out=col[1:])
-                cums.append(col)
-    return cums
+def _block_slice(
+    cums: dict[int, np.ndarray], entry: tuple[int, int, int], lo: int, t: int, smax: int
+) -> np.ndarray:
+    """Count of one basis entry's pattern in block [s + lo, s + lo + t), for every start s < smax."""
+    c, a, b = entry
+    hi = lo + t
+    col = cums[c]
+    out = col[hi : hi + smax] - col[lo : lo + smax]
+    if a >= 0:
+        colb = cums[b]
+        out -= cums[a][lo : lo + smax] * (colb[hi : hi + smax] - colb[lo : lo + smax])
+    return out
 
 
 def _find_vector(
     wd: Word, m: int, p: int, deadline: Optional[float]
-) -> tuple[Optional[Occurrence], int]:
-    """Period-major scan: for each period, test every start with slice arithmetic.
+) -> Optional[Occurrence]:
+    """Period-major scan: for each period, test every start with slice arithmetic
+    on the cumulative columns of the minimal block basis.
 
     The winner under (start, period) lexicographic order is maintained
     across periods; only strictly smaller starts can improve it, so the
@@ -150,9 +176,18 @@ def _find_vector(
     n = len(wd)
     k = wd.alphabet.size
     letters = np.asarray(wd.letters, dtype=np.int64)
-    cums = _cumulative_columns(letters, k, m)
+    basis = _block_basis(k, m)
+    iwords = index_words(k, m)
+    # cum[i] = count(prefix of length i, pattern); letter columns come first
+    # in canonical order, so a pair's letter column is built before it
+    cums: dict[int, np.ndarray] = {}
+    for c in sorted({c for entry in basis for c in entry if c >= 0}):
+        x = iwords[c]
+        hit = letters == x[-1]
+        col = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(hit if len(x) == 1 else cums[x[0]][:n] * hit, out=col[1:])
+        cums[c] = col
     best: Optional[tuple[int, int]] = None
-    candidates = 0
     for t in range(1, n // p + 1):
         _check_deadline(deadline)
         smax = n - p * t + 1
@@ -160,56 +195,22 @@ def _find_vector(
             smax = min(smax, best[0])
         if smax <= 0:
             break
-        candidates += smax
-        valid: Optional[np.ndarray] = None
-        for a in range(k):
-            col = cums[a]
-            base = col[t : t + smax] - col[:smax]
+        valid = np.ones(smax, dtype=bool)
+        for entry in basis:
+            base = _block_slice(cums, entry, 0, t, smax)
             for j in range(1, p):
-                d = col[(j + 1) * t : (j + 1) * t + smax] - col[j * t : j * t + smax]
-                eq = d == base
-                valid = eq if valid is None else (valid & eq)
-            if valid is not None and not valid.any():
-                break
-        assert valid is not None
-        if m == 2 and valid.any():
-            idx = k
-            for a in range(k):
-                cola = cums[a]
-                for b in range(k):
-                    colab = cums[idx]
-                    colb = cums[b]
-                    idx += 1
-                    base = (
-                        colab[t : t + smax]
-                        - colab[:smax]
-                        - cola[:smax] * (colb[t : t + smax] - colb[:smax])
-                    )
-                    for j in range(1, p):
-                        lo = j * t
-                        hi = (j + 1) * t
-                        d = (
-                            colab[hi : hi + smax]
-                            - colab[lo : lo + smax]
-                            - cola[lo : lo + smax]
-                            * (colb[hi : hi + smax] - colb[lo : lo + smax])
-                        )
-                        valid &= d == base
-                    if not valid.any():
-                        break
-                else:
-                    continue
+                valid &= _block_slice(cums, entry, j * t, t, smax) == base
+            if not valid.any():
                 break
         hits = np.flatnonzero(valid)
         if hits.size:
-            s0 = int(hits[0])
-            if best is None or s0 < best[0]:
-                best = (s0, t)
-                if s0 == 0:
-                    break
+            # smax <= best[0], so any hit improves the winner
+            best = (int(hits[0]), t)
+            if best[0] == 0:
+                break
     if best is None:
-        return None, candidates
-    return Occurrence(best[0], best[1], p, m), candidates
+        return None
+    return Occurrence(best[0], best[1], p, m)
 
 
 def _verify_occurrence(wd: Word, occ: Occurrence, max_order: int) -> None:
@@ -239,22 +240,6 @@ def find_power(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> Optional[Occurrence]:
     """The (m, p)-power occurrence minimal by start, then by period; None if free."""
-    occ, _ = _find_power_counted(
-        w, m, p, alphabet=alphabet, engine=engine, budget_ms=budget_ms, max_order=max_order
-    )
-    return occ
-
-
-def _find_power_counted(
-    w: WordLike,
-    m: int,
-    p: int,
-    *,
-    alphabet: Union[Alphabet, int, None] = None,
-    engine: str = "auto",
-    budget_ms: Optional[int] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[Optional[Occurrence], int]:
     _check_order(m, max_order)
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise InvalidInputError(f"power must be an int >= 2, got {p!r}")
@@ -273,12 +258,12 @@ def _find_power_counted(
         engine = "vector" if (m <= 2 and _VECTOR_MIN_LEN <= n < _VECTOR_MAX_LEN) else "python"
     deadline = _deadline_from(budget_ms)
     if engine == "vector":
-        occ, candidates = _find_vector(wd, m, p, deadline)
+        occ = _find_vector(wd, m, p, deadline)
     else:
-        occ, candidates = _find_python(wd, m, p, deadline, max_order)
+        occ = _find_python(wd, m, p, deadline, max_order)
     if occ is not None:
         _verify_occurrence(wd, occ, max_order)
-    return occ, candidates
+    return occ
 
 
 def is_power_free(
@@ -319,10 +304,9 @@ def scan_word(
     """find_power wrapped in a timed, counter-carrying report."""
     wd = word(w, alphabet)
     t0 = time.perf_counter()
-    occ, candidates = _find_power_counted(
-        wd, m, p, engine=engine, budget_ms=budget_ms, max_order=max_order
-    )
-    return ScanReport(len(wd), m, p, occ, candidates, time.perf_counter() - t0)
+    occ = find_power(wd, m, p, engine=engine, budget_ms=budget_ms, max_order=max_order)
+    n = len(wd)
+    return ScanReport(n, m, p, occ, _candidates(n, p, occ), time.perf_counter() - t0)
 
 
 def scan_fixed_point(

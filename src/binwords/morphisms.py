@@ -33,6 +33,7 @@ from .words import (
     _check_order,
     index_words,
     signature,
+    subword_count,
     word,
 )
 
@@ -311,7 +312,7 @@ def lift_matrix(
         for y in iwords:
             if len(y) >= len(x):
                 continue
-            c = _subword_count_cached(xw.letters, y)
+            c = subword_count(xw, y)
             if c:
                 src = cols[pos[y]]
                 for i in range(n):
@@ -334,14 +335,6 @@ def lift_matrix(
                     f"no exact linear action at order {m}: mismatch on {u}"
                 )
     return lifted
-
-
-def _subword_count_cached(u: tuple[int, ...], x: tuple[int, ...]) -> int:
-    # tiny helper for pattern-in-pattern counts during the column solve
-    from .words import subword_count
-
-    k = max(max(u, default=0), max(x, default=0)) + 1
-    return subword_count(Word(u, Alphabet(k)), Word(x, Alphabet(k)))
 
 
 @dataclass(frozen=True)

@@ -200,17 +200,27 @@ def _extend_updates(k: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _push_plans(
-    k: int, m: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """Per letter: the extend updates plus the untouched column indices."""
-    words = index_words(k, m)
-    plans = []
-    for a, pairs in enumerate(_extend_updates(k, m)):
-        targets = {t for t, _ in pairs}
-        rest = tuple(i for i in range(len(words)) if i not in targets)
-        plans.append((pairs, rest))
-    return tuple(plans)
+def _block_basis(k: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """The (column, a, b) entries whose block counts decide order-m
+    equivalence of equal-length blocks, for m <= 2, in canonical order.
+
+    An entry reads the cumulative column `column`; for a pair column ab
+    it also reads letter columns a and b, because the block count of ab
+    over [s, e) is cum_ab[e] - cum_ab[s] - cum_a[s] * (cum_b[e] - cum_b[s]).
+    Letter entries carry a = b = -1.
+
+    The entries are letters 0..k-2 and (order 2) the pairs ab with a < b.
+    They are complete for blocks of one length L: the last letter's count
+    is L minus the others, count(aa) = C(|u|_a, 2), and
+    count(ba) = |u|_a |u|_b - count(ab).
+    """
+    entries = [(a, -1, -1) for a in range(k - 1)]
+    if m == 2:
+        pos = _index_positions(k, m)
+        entries.extend(
+            (pos[(a, b)], a, b) for a in range(k) for b in range(a + 1, k)
+        )
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +428,9 @@ class PrefixIndex:
         self.order = m
         k = self.alphabet.size
         self._iwords = index_words(k, m)
-        self._plans = _push_plans(k, m)
+        self._updates = _extend_updates(k, m)
         self._splits = _split_table(k, m)
+        self._basis = _block_basis(k, m) if m <= 2 else None
         self._cols: list[list[int]] = [[0] for _ in self._iwords]
         self._letters: list[int] = []
         for a in wd.letters:
@@ -436,13 +447,11 @@ class PrefixIndex:
     # index incrementally instead of rebuilding it per node.
     def _push(self, a: int) -> None:
         cols = self._cols
-        pairs, rest = self._plans[a]
-        for t, s in pairs:
-            col = cols[t]
-            col.append(col[-1] + (cols[s][-1] if s >= 0 else 1))
-        for i in rest:
-            col = cols[i]
+        for col in cols:
             col.append(col[-1])
+        # every column has grown, so a source's old value sits at [-2]
+        for t, s in self._updates[a]:
+            cols[t][-1] += cols[s][-2] if s >= 0 else 1
         self._letters.append(a)
 
     def _pop(self) -> None:
@@ -487,42 +496,29 @@ class PrefixIndex:
         if period < 1 or count < 1:
             raise InvalidInputError("period and count must be positive")
         self._bounds(start, start + period * count)
-        if self.order <= 2:
-            return self._blocks_equivalent_m2(start, period, count)
-        first = self._factor_counts(start, start + period)
-        for t in range(1, count):
-            s = start + t * period
-            if self._factor_counts(s, s + period) != first:
-                return False
-        return True
-
-    def _blocks_equivalent_m2(self, start: int, period: int, count: int) -> bool:
-        cols = self._cols
-        k = self.alphabet.size
-        end0 = start + period
-        for a in range(k):
-            col = cols[a]
-            first = col[end0] - col[start]
-            s = end0
-            for _ in range(count - 1):
-                e = s + period
-                if col[e] - col[s] != first:
+        if self._basis is None:
+            first = self._factor_counts(start, start + period)
+            for t in range(1, count):
+                s = start + t * period
+                if self._factor_counts(s, s + period) != first:
                     return False
-                s = e
-        if self.order == 1:
             return True
-        idx = k
-        for a in range(k):
-            cola = cols[a]
-            for b in range(k):
-                colab = cols[idx]
-                colb = cols[b]
-                first = colab[end0] - colab[start] - cola[start] * (colb[end0] - colb[start])
-                s = end0
-                for _ in range(count - 1):
-                    e = s + period
-                    if colab[e] - colab[s] - cola[s] * (colb[e] - colb[s]) != first:
+        cols = self._cols
+        stop = start + period * count
+        for c, a, b in self._basis:
+            col = cols[c]
+            if a < 0:
+                first = col[start + period] - col[start]
+                for s in range(start + period, stop, period):
+                    if col[s + period] - col[s] != first:
                         return False
-                    s = e
-                idx += 1
+            else:
+                cola = cols[a]
+                colb = cols[b]
+                e = start + period
+                first = col[e] - col[start] - cola[start] * (colb[e] - colb[start])
+                for s in range(start + period, stop, period):
+                    e = s + period
+                    if col[e] - col[s] - cola[s] * (colb[e] - colb[s]) != first:
+                        return False
         return True

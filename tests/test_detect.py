@@ -229,6 +229,16 @@ class TestReports:
         b = scan_word("0110100110010110", 2, 2)
         assert a.to_dict() == b.to_dict()
 
+    def test_candidates_independent_of_engine(self):
+        # the canonical-order count up to the answer, whichever engine ran
+        z = fixed_point_prefix(PRESETS["h"].morphism, 0, 3000)
+        a = scan_word(z, 2, 2, engine="python").to_dict()
+        assert a == scan_word(z, 2, 2, engine="vector").to_dict()
+        assert a["candidates"] == 1
+        for w, p in (("01202012", 2), ("0101110" + "0110101", 2), ("0010", 3)):
+            reports = [scan_word(w, 2, p, engine=e).to_dict() for e in ("python", "vector")]
+            assert reports[0] == reports[1]
+
     def test_occurrence_to_dict(self):
         occ = find_power("01202012", 2, 2)
         assert occ.to_dict() == {"start": 2, "period": 2, "power": 2, "m": 2}
