@@ -9,8 +9,9 @@ Covers, at the default scale:
   - the exact lifted matrix of the binary generator and its determinant
   - the full verification battery at default trial counts
 
-Everything lands in --out as JSON/text, plus a console summary.  Exits
-nonzero if any computation disagrees with the frozen expectations.
+Everything lands in --out as JSON/text, plus a console summary.  Exits 1
+if any computation disagrees with the frozen expectations, else 3 if a
+--budget-ms budget ran out before every computation finished.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import time
 from pathlib import Path
 
 from binwords import (
+    BudgetExceededError,
     CheckConfig,
     PRESETS,
     aggregate,
@@ -100,16 +102,21 @@ def reproduce_searches(cfg: Config) -> bool:
     ]
     ok = True
     certs = []
+    aborted = []
     for (k, m, p, cap), want_outcome, want_len in jobs:
         cert = longest_avoiding(k, m, p, cap, budget_ms=cfg.budget_ms)
         certs.append(cert.to_dict())
-        good = cert.outcome == want_outcome and cert.max_length == want_len
-        ok &= good
+        if cert.outcome == "budget_abort":
+            aborted.append(f"k={k} m={m} p={p}")
+        else:
+            ok &= cert.outcome == want_outcome and cert.max_length == want_len
         print(
             f"search k={k} m={m} p={p} cap={cap}: {cert.outcome}"
             f" max_length={cert.max_length} witness={cert.witness}"
         )
     dump(cfg.out / "searches.json", {"certificates": certs})
+    if aborted and ok:  # a mismatch outranks an abort
+        raise BudgetExceededError(f"search budget ran out for {', '.join(aborted)}")
     return ok
 
 
@@ -157,16 +164,21 @@ def main() -> int:
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
 
-    ok = reproduce_prefixes(cfg)
-    ok &= reproduce_scans(cfg)
-    ok &= reproduce_searches(cfg)
-    ok &= reproduce_matrix(cfg)
-    battery_code = 0 if args.skip_battery else reproduce_battery(cfg)
+    ok = True
+    try:
+        ok &= reproduce_prefixes(cfg)
+        ok &= reproduce_scans(cfg)
+        ok &= reproduce_searches(cfg)
+        ok &= reproduce_matrix(cfg)
+        code = 0 if args.skip_battery else reproduce_battery(cfg)
+    except BudgetExceededError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        code = 3
 
     if not ok:
         print("MISMATCH against frozen expectations", file=sys.stderr)
         return 1
-    return battery_code
+    return code
 
 
 if __name__ == "__main__":

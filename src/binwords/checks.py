@@ -40,7 +40,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .detect import find_power
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import Budget, BudgetExceededError, InvalidInputError
 from .morphisms import (
     Morphism,
     PRESETS,
@@ -101,30 +101,20 @@ class CheckReport:
 
 
 class _Run:
-    """Mutable accumulator behind a CheckReport; enforces the time budget."""
+    """Mutable accumulator behind a CheckReport; its budget counts the instances."""
 
-    def __init__(self, name: str, params: dict, budget_ms: Optional[int]) -> None:
+    def __init__(self, name: str, params: dict) -> None:
         self.name = name
         self.params = params
-        self.instances = 0
+        # _driven installs the real budget; a failed start still reports 0 units
+        self.budget = Budget(f"check {name}")
         self.violations: list[str] = []
         self.violations_total = 0
         self.notes: list[str] = []
-        self._deadline = (
-            None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        )
-        self._ticks = 0
         self._t0 = time.perf_counter()
 
     def tick(self, weight: int = 1) -> None:
-        self.instances += weight
-        self._ticks += 1
-        if (
-            self._deadline is not None
-            and not self._ticks & 2047
-            and time.monotonic() > self._deadline
-        ):
-            raise BudgetExceededError(f"check {self.name} ran out of time budget")
+        self.budget.tick(weight)
 
     def violation(self, desc: str) -> None:
         self.violations_total += 1
@@ -139,7 +129,7 @@ class _Run:
         return CheckReport(
             name=self.name,
             params=self.params,
-            instances=self.instances,
+            instances=self.budget.units,
             violations=tuple(self.violations),
             violations_total=self.violations_total,
             notes=tuple(self.notes),
@@ -151,15 +141,13 @@ class _Run:
 def _driven(
     name: str, params: dict, budget_ms: Optional[int], body: Callable[["_Run"], None]
 ) -> CheckReport:
-    run = _Run(name, params, budget_ms)
-    aborted = False
+    run = _Run(name, params)
     try:
-        if budget_ms is not None and budget_ms <= 0:
-            raise BudgetExceededError(f"check {name} has no time budget")
+        run.budget = Budget(f"check {name}", budget_ms)
         body(run)
     except BudgetExceededError:
-        aborted = True
-    return run.finish(aborted)
+        return run.finish(aborted=True)
+    return run.finish(aborted=False)
 
 
 def check_erasure(

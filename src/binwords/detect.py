@@ -21,12 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    BinwordsError,
-    BudgetExceededError,
-    CountOverflowError,
-    InvalidInputError,
-)
+from .errors import BinwordsError, Budget, CountOverflowError, InvalidInputError
 from .morphisms import Morphism, fixed_point_prefix
 from .words import (
     Alphabet,
@@ -99,19 +94,6 @@ class ScanReport:
         return out
 
 
-def _deadline_from(budget_ms: Optional[int]) -> Optional[float]:
-    if budget_ms is None:
-        return None
-    if budget_ms <= 0:
-        raise BudgetExceededError("budget of 0 ms leaves no time to scan")
-    return time.monotonic() + budget_ms / 1000.0
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("detection wall-clock budget exhausted")
-
-
 def _pairs_upto(n: int, p: int) -> int:
     """Number of (start, period) pairs with start + p * period <= n, which is
     the sum over L = 1..n of floor(L / p)."""
@@ -134,16 +116,13 @@ def _candidates(n: int, p: int, occ: Optional[Occurrence]) -> int:
 
 
 def _find_python(
-    wd: Word, m: int, p: int, deadline: Optional[float], max_order: int
+    wd: Word, m: int, p: int, budget: Budget, max_order: int
 ) -> Optional[Occurrence]:
     idx = PrefixIndex(wd, m, max_order=max_order)
     n = len(wd)
-    ticks = 0
     for s in range(n):
+        budget.tick((n - s) // p)
         for t in range(1, (n - s) // p + 1):
-            ticks += 1
-            if not ticks & 1023:
-                _check_deadline(deadline)
             if idx.blocks_equivalent(s, t, p):
                 return Occurrence(s, t, p, m)
     return None
@@ -163,9 +142,7 @@ def _block_slice(
     return out
 
 
-def _find_vector(
-    wd: Word, m: int, p: int, deadline: Optional[float]
-) -> Optional[Occurrence]:
+def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
     """Period-major scan: for each period, test every start with slice arithmetic
     on the cumulative columns of the minimal block basis.
 
@@ -189,12 +166,12 @@ def _find_vector(
         cums[c] = col
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
-        _check_deadline(deadline)
         smax = n - p * t + 1
         if best is not None:
             smax = min(smax, best[0])
         if smax <= 0:
             break
+        budget.tick(smax)
         valid = np.ones(smax, dtype=bool)
         for entry in basis:
             base = _block_slice(cums, entry, 0, t, smax)
@@ -256,11 +233,11 @@ def find_power(
             )
     if engine == "auto":
         engine = "vector" if (m <= 2 and _VECTOR_MIN_LEN <= n < _VECTOR_MAX_LEN) else "python"
-    deadline = _deadline_from(budget_ms)
+    budget = Budget("scan", budget_ms)
     if engine == "vector":
-        occ = _find_vector(wd, m, p, deadline)
+        occ = _find_vector(wd, m, p, budget)
     else:
-        occ = _find_python(wd, m, p, deadline, max_order)
+        occ = _find_python(wd, m, p, budget, max_order)
     if occ is not None:
         _verify_occurrence(wd, occ, max_order)
     return occ

@@ -11,16 +11,15 @@ test costs O(length / p) block comparisons with O(1) work per component.
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
 explores everything to a fixed depth and tabulates survivors per length.
-Both are deterministic; optional budgets abort at deterministic points.
+Both are deterministic, and a node budget aborts at a deterministic point.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import BinwordsError, BudgetExceededError, InvalidInputError
+from .errors import BinwordsError, Budget, BudgetExceededError, InvalidInputError
 from .words import (
     Alphabet,
     DEFAULT_MAX_ORDER,
@@ -135,11 +134,8 @@ def _dfs(
         raise InvalidInputError(f"search depth cap must be >= 1, got {depth_cap}")
     alph = Alphabet(k)
     idx = PrefixIndex(Word((), alph), m, max_order=max_order)
-    if budget_ms is not None and budget_ms <= 0:
-        raise BudgetExceededError("budget of 0 ms leaves no time to search")
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    budget = Budget("search", budget_ms, node_budget)
     counts = [0] * depth_cap
-    nodes = 0
     best_len = 0
     best_word: tuple[int, ...] = ()
     cap_word: Optional[tuple[int, ...]] = None
@@ -156,11 +152,9 @@ def _dfs(
                 idx._pop()
                 stack[-1] += 1
             continue
-        if node_budget is not None and nodes >= node_budget:
-            aborted = True
-            break
-        nodes += 1
-        if deadline is not None and not nodes & 1023 and time.monotonic() > deadline:
+        try:
+            budget.tick()
+        except BudgetExceededError:
             aborted = True
             break
         idx._push(a)
@@ -174,7 +168,7 @@ def _dfs(
             best_len = d
             best_word = tuple(idx._letters)
             if progress is not None:
-                progress(d, nodes, counts[d - 1])
+                progress(d, budget.units, counts[d - 1])
         if d == depth_cap:
             if stop_at_cap:
                 cap_word = tuple(idx._letters)
@@ -183,7 +177,7 @@ def _dfs(
             stack[-1] += 1
             continue
         stack.append(0)
-    return _DfsResult(best_len, best_word, cap_word, counts, nodes, aborted)
+    return _DfsResult(best_len, best_word, cap_word, counts, budget.units, aborted)
 
 
 def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int, max_order: int) -> Word:

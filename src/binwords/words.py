@@ -122,9 +122,12 @@ def word(source: WordLike, alphabet: Union[Alphabet, int, None] = None) -> Word:
     if isinstance(source, str):
         return Word.parse(source, alphabet)
     letters = tuple(source)
+    alph = Alphabet(MAX_ALPHABET) if alphabet is None else _as_alphabet(alphabet)
+    for a in letters:
+        alph.check(a)
     if alphabet is None:
-        alphabet = Alphabet(max(letters) + 1 if letters else 1)
-    return Word(letters, _as_alphabet(alphabet))
+        alph = Alphabet(max(letters, default=0) + 1)
+    return Word(letters, alph)
 
 
 def _common_alphabet(

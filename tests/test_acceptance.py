@@ -15,7 +15,6 @@ from binwords import (
     CheckConfig,
     PRESETS,
     equivalent,
-    find_power,
     fixed_point_prefix,
     is_power_free,
     lift_matrix,

@@ -5,7 +5,6 @@ import pytest
 from binwords import (
     CHECK_NAMES,
     CheckConfig,
-    CheckReport,
     InvalidInputError,
     aggregate,
     aggregate_exit_code,

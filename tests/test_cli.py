@@ -1,8 +1,6 @@
 import json
 import os
 
-import pytest
-
 from binwords.cli import main
 
 X_PREFIX_24 = "012021012102012021020121"

@@ -13,6 +13,7 @@ from binwords import (
     Word,
     ascent_imbalance,
     equivalent,
+    find_power,
     index_words,
     mirror,
     signature,
@@ -98,6 +99,16 @@ class TestWordBasics:
         assert word(w, 3).alphabet == Alphabet(3)
         with pytest.raises(InvalidInputError):
             word(word("2"), 2)
+
+    @pytest.mark.parametrize(
+        "letters", [[0, 1.0, True, 0], [0, 1.0], [True, 0], [0, "1"], ["a"]]
+    )
+    @pytest.mark.parametrize("alphabet", [None, 2])
+    def test_word_rejects_non_integer_letters(self, letters, alphabet):
+        with pytest.raises(InvalidInputError):
+            word(letters, alphabet)
+        with pytest.raises(InvalidInputError):
+            find_power(letters, 2, 2, alphabet=alphabet)
 
 
 class TestSubwordCount:
