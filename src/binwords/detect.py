@@ -37,7 +37,7 @@ from .words import (
 )
 
 _VECTOR_MIN_LEN = 64
-_VECTOR_MAX_LEN = 2**31  # keeps order-2 cumulative counts far below int64 overflow
+_VECTOR_MAX_LEN = 2**31  # int64 bounds below it: tests/test_vector.py
 
 
 @dataclass(frozen=True)
@@ -128,25 +128,36 @@ def _find_python(
     return None
 
 
-def _block_slice(
-    cums: dict[int, np.ndarray], entry: tuple[int, int, int], lo: int, t: int, smax: int
+def _key_fits(k: int, n: int) -> bool:
+    """Whether k - 1 prefix letter counts of n.bit_length() bits each fit one int64."""
+    return (k - 1) * n.bit_length() <= 63
+
+
+def _pair_survivors(
+    cums: dict[int, np.ndarray], pairs: list, hits: np.ndarray, t: int, p: int
 ) -> np.ndarray:
-    """Count of one basis entry's pattern in block [s + lo, s + lo + t), for every start s < smax."""
-    c, a, b = entry
-    hi = lo + t
-    col = cums[c]
-    out = col[hi : hi + smax] - col[lo : lo + smax]
-    if a >= 0:
-        colb = cums[b]
-        out -= cums[a][lo : lo + smax] * (colb[hi : hi + smax] - colb[lo : lo + smax])
-    return out
+    """The starts in hits whose p blocks of length t agree on every pair entry;
+    hits are abelian survivors, so every block holds the first block's nb b's."""
+    for c, a, b in pairs:
+        if not hits.size:
+            break
+        col, ca, cb = cums[c], cums[a], cums[b]
+        bounds = [hits + j * t for j in range(p + 1)]
+        ends = [col[x] for x in bounds]
+        nb = cb[bounds[1]] - cb[hits]
+        counts = [ends[j + 1] - ends[j] - ca[bounds[j]] * nb for j in range(p)]
+        keep = counts[1] == counts[0]
+        for other in counts[2:]:
+            keep &= other == counts[0]
+        hits = hits[keep]
+    return hits
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
-    """Period-major scan: for each period, test every start with slice arithmetic
-    on the cumulative columns of the minimal block basis.
-
-    The winner under (start, period) lexicographic order is maintained
+    """Period-major scan on the cumulative columns of the minimal block basis:
+    stage 1 tests letter counts at every start through one packed int64 key
+    (each letter column when it would not fit), stage 2 the pair entries on
+    the abelian survivors only.  The winner in (start, period) order is kept
     across periods; only strictly smaller starts can improve it, so the
     scanned start range shrinks as hits accumulate.
     """
@@ -164,6 +175,11 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         col = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(hit if len(x) == 1 else cums[x[0]][:n] * hit, out=col[1:])
         cums[c] = col
+    keys = [cums[c] for c, a, _ in basis if a < 0]
+    if len(keys) > 1 and _key_fits(k, n):
+        # n.bit_length() bits per count: block differences in [0, n] never borrow
+        keys = [sum(col << (i * n.bit_length()) for i, col in enumerate(keys))]
+    pairs = [entry for entry in basis if entry[1] >= 0]
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
         smax = n - p * t + 1
@@ -173,13 +189,14 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
             break
         budget.tick(smax)
         valid = np.ones(smax, dtype=bool)
-        for entry in basis:
-            base = _block_slice(cums, entry, 0, t, smax)
+        for key in keys:
+            counts = key[t : p * t + smax] - key[: (p - 1) * t + smax]
+            base = counts[:smax]
             for j in range(1, p):
-                valid &= _block_slice(cums, entry, j * t, t, smax) == base
+                valid &= counts[j * t : j * t + smax] == base
             if not valid.any():
                 break
-        hits = np.flatnonzero(valid)
+        hits = _pair_survivors(cums, pairs, np.flatnonzero(valid), t, p)
         if hits.size:
             # smax <= best[0], so any hit improves the winner
             best = (int(hits[0]), t)

@@ -56,6 +56,8 @@ class Budget:
     def __init__(
         self, label: str, budget_ms: Optional[int] = None, max_units: Optional[int] = None
     ) -> None:
+        if any(v is not None and type(v) is not int for v in (budget_ms, max_units)):
+            raise InvalidInputError(f"{label} budgets take ints, not {budget_ms!r}, {max_units!r}")
         if budget_ms is not None and budget_ms <= 0:
             raise BudgetExceededError(f"budget of {budget_ms} ms leaves no time to {label}")
         self.label = label

@@ -12,6 +12,7 @@ import binwords.errors as errors
 from binwords import (
     BudgetExceededError,
     CheckConfig,
+    InvalidInputError,
     PRESETS,
     find_power,
     fixed_point_prefix,
@@ -49,6 +50,21 @@ class TestBudget:
         for ms in (0, -5):
             with pytest.raises(BudgetExceededError, match="budget"):
                 Budget("scan", ms)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"budget_ms": True},
+            {"budget_ms": 0.5},
+            {"budget_ms": "10"},
+            {"max_units": True},
+            {"max_units": 2.5},
+            {"max_units": "5"},
+        ],
+    )
+    def test_non_int_budget_rejected(self, kwargs):
+        with pytest.raises(InvalidInputError, match="budget"):
+            Budget("scan", **kwargs)
 
     def test_unit_cap_is_exact(self):
         b = Budget("search", None, 5)
@@ -88,6 +104,18 @@ class TestBudget:
 
 
 class TestCallers:
+    def test_non_int_budgets_rejected_by_callers(self):
+        with pytest.raises(InvalidInputError):
+            find_power("0120", 2, 2, budget_ms=True)
+        for node_budget in (True, 2.5):
+            with pytest.raises(InvalidInputError):
+                longest_avoiding(3, 2, 2, 50, node_budget=node_budget)
+        with pytest.raises(InvalidInputError):
+            run_check("identities", CheckConfig(budget_ms="10"))
+
+    def test_negative_node_budget_still_aborts(self):
+        assert longest_avoiding(3, 2, 2, 50, node_budget=-1).outcome == "budget_abort"
+
     @pytest.mark.parametrize("engine", ["vector", "python"])
     def test_scan_aborts(self, clock, engine):
         prefix = fixed_point_prefix(PRESETS["g"].morphism, 0, 2000)
