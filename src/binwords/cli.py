@@ -197,6 +197,8 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     if args.trials is not None:
+        if args.trials < 1:
+            raise InvalidInputError(f"--trials must be >= 1, got {args.trials}")
         cfg = replace(
             cfg,
             matrix_trials=args.trials,

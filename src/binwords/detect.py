@@ -25,12 +25,12 @@ from .errors import BinwordsError, Budget, CountOverflowError, InvalidInputError
 from .morphisms import Morphism, fixed_point_prefix
 from .words import (
     Alphabet,
-    DEFAULT_MAX_ORDER,
     PrefixIndex,
     Word,
     WordLike,
     _block_basis,
     _check_order,
+    _check_power,
     index_words,
     signature,
     word,
@@ -115,10 +115,8 @@ def _candidates(n: int, p: int, occ: Optional[Occurrence]) -> int:
     return total - _pairs_upto(n - occ.start, p) + occ.period
 
 
-def _find_python(
-    wd: Word, m: int, p: int, budget: Budget, max_order: int
-) -> Optional[Occurrence]:
-    idx = PrefixIndex(wd, m, max_order=max_order)
+def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
+    idx = PrefixIndex(wd, m)
     n = len(wd)
     for s in range(n):
         budget.tick((n - s) // p)
@@ -207,13 +205,11 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return Occurrence(best[0], best[1], p, m)
 
 
-def _verify_occurrence(wd: Word, occ: Occurrence, max_order: int) -> None:
+def _verify_occurrence(wd: Word, occ: Occurrence) -> None:
     # independent recomputation guards both engines
     sigs = [
         signature(
-            wd[occ.start + j * occ.period : occ.start + (j + 1) * occ.period],
-            occ.order,
-            max_order=max_order,
+            wd[occ.start + j * occ.period : occ.start + (j + 1) * occ.period], occ.order
         ).counts
         for j in range(occ.power)
     ]
@@ -231,12 +227,10 @@ def find_power(
     alphabet: Union[Alphabet, int, None] = None,
     engine: str = "auto",
     budget_ms: Optional[int] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> Optional[Occurrence]:
     """The (m, p)-power occurrence minimal by start, then by period; None if free."""
-    _check_order(m, max_order)
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise InvalidInputError(f"power must be an int >= 2, got {p!r}")
+    _check_order(m)
+    _check_power(p)
     wd = word(w, alphabet)
     n = len(wd)
     if engine not in ("auto", "python", "vector"):
@@ -254,9 +248,9 @@ def find_power(
     if engine == "vector":
         occ = _find_vector(wd, m, p, budget)
     else:
-        occ = _find_python(wd, m, p, budget, max_order)
+        occ = _find_python(wd, m, p, budget)
     if occ is not None:
-        _verify_occurrence(wd, occ, max_order)
+        _verify_occurrence(wd, occ)
     return occ
 
 
@@ -268,19 +262,10 @@ def is_power_free(
     alphabet: Union[Alphabet, int, None] = None,
     engine: str = "auto",
     budget_ms: Optional[int] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> bool:
     """True iff w contains no m-binomial p-power."""
     return (
-        find_power(
-            w,
-            m,
-            p,
-            alphabet=alphabet,
-            engine=engine,
-            budget_ms=budget_ms,
-            max_order=max_order,
-        )
+        find_power(w, m, p, alphabet=alphabet, engine=engine, budget_ms=budget_ms)
         is None
     )
 
@@ -293,12 +278,11 @@ def scan_word(
     alphabet: Union[Alphabet, int, None] = None,
     engine: str = "auto",
     budget_ms: Optional[int] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> ScanReport:
     """find_power wrapped in a timed, counter-carrying report."""
     wd = word(w, alphabet)
     t0 = time.perf_counter()
-    occ = find_power(wd, m, p, engine=engine, budget_ms=budget_ms, max_order=max_order)
+    occ = find_power(wd, m, p, engine=engine, budget_ms=budget_ms)
     n = len(wd)
     return ScanReport(n, m, p, occ, _candidates(n, p, occ), time.perf_counter() - t0)
 
@@ -312,10 +296,7 @@ def scan_fixed_point(
     *,
     engine: str = "auto",
     budget_ms: Optional[int] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> ScanReport:
     """Generate the length-n fixed-point prefix of f at a, then scan it."""
     prefix = fixed_point_prefix(f, a, n)
-    return scan_word(
-        prefix, m, p, engine=engine, budget_ms=budget_ms, max_order=max_order
-    )
+    return scan_word(prefix, m, p, engine=engine, budget_ms=budget_ms)

@@ -15,7 +15,7 @@ class InvalidInputError(BinwordsError, ValueError):
 
 
 class UnsupportedOrderError(InvalidInputError):
-    """Requested signature order exceeds the configured cap."""
+    """Requested signature order exceeds words.MAX_ORDER, the package's fixed cap."""
 
 
 class MorphismParseError(InvalidInputError):

@@ -25,7 +25,6 @@ from .errors import (
 from .words import (
     Alphabet,
     BinomialSignature,
-    DEFAULT_MAX_ORDER,
     Word,
     WordLike,
     _as_alphabet,
@@ -283,7 +282,6 @@ def lift_matrix(
     f: Morphism,
     m: int,
     *,
-    max_order: int = DEFAULT_MAX_ORDER,
     validate_trials: Optional[int] = None,
     seed: int = 0,
 ) -> LiftedMatrix:
@@ -296,7 +294,7 @@ def lift_matrix(
     orders are spot-checked on random words (default 10**4 trials) and a
     mismatch raises NoLinearActionError.
     """
-    _check_order(m, max_order)
+    _check_order(m)
     if f.is_erasing:
         raise InvalidInputError("lifting is not defined for erasing morphisms")
     k = f.alphabet.size
@@ -305,7 +303,7 @@ def lift_matrix(
     pos = {x: i for i, x in enumerate(iwords)}
     cols: list[list[int]] = [[0] * n for _ in range(n)]
     for j, x in enumerate(iwords):
-        fx = signature(f(Word(x, f.alphabet)), m, max_order=max_order).counts
+        fx = signature(f(Word(x, f.alphabet)), m).counts
         col = list(fx)
         xw = Word(x, f.alphabet)
         for y in iwords:
@@ -327,8 +325,8 @@ def lift_matrix(
         for _ in range(trials):
             ln = rng.randrange(0, 16)
             u = Word(tuple(rng.randrange(k) for _ in range(ln)), f.alphabet)
-            got = lifted.apply(signature(u, m, max_order=max_order))
-            want = signature(f(u), m, max_order=max_order)
+            got = lifted.apply(signature(u, m))
+            want = signature(f(u), m)
             if got.counts != want.counts:
                 raise NoLinearActionError(
                     f"no exact linear action at order {m}: mismatch on {u}"

@@ -22,10 +22,10 @@ from typing import Callable, Optional
 from .errors import BinwordsError, Budget, BudgetExceededError, InvalidInputError
 from .words import (
     Alphabet,
-    DEFAULT_MAX_ORDER,
     PrefixIndex,
     Word,
     _check_order,
+    _check_power,
 )
 from .detect import is_power_free
 
@@ -125,15 +125,15 @@ def _dfs(
     node_budget: Optional[int],
     budget_ms: Optional[int],
     progress: Optional[ProgressFn],
-    max_order: int,
 ) -> _DfsResult:
-    _check_order(m, max_order)
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise InvalidInputError(f"power must be an int >= 2, got {p!r}")
+    _check_order(m)
+    _check_power(p)
+    if not isinstance(depth_cap, int) or isinstance(depth_cap, bool):
+        raise InvalidInputError(f"search depth cap must be an int, got {depth_cap!r}")
     if depth_cap < 1:
         raise InvalidInputError(f"search depth cap must be >= 1, got {depth_cap}")
     alph = Alphabet(k)
-    idx = PrefixIndex(Word((), alph), m, max_order=max_order)
+    idx = PrefixIndex(Word((), alph), m)
     budget = Budget("search", budget_ms, node_budget)
     counts = [0] * depth_cap
     best_len = 0
@@ -180,9 +180,9 @@ def _dfs(
     return _DfsResult(best_len, best_word, cap_word, counts, budget.units, aborted)
 
 
-def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int, max_order: int) -> Word:
+def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int) -> Word:
     w = Word(letters, Alphabet(k))
-    if not is_power_free(w, m, p, max_order=max_order):
+    if not is_power_free(w, m, p):
         raise BinwordsError(f"internal error: search witness {w} fails the detector")
     return w
 
@@ -197,7 +197,6 @@ def longest_avoiding(
     node_budget: Optional[int] = None,
     budget_ms: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> SearchCertificate:
     """Search for the longest (m, p)-power-free word over k letters, up to cap.
 
@@ -216,7 +215,6 @@ def longest_avoiding(
         node_budget=node_budget,
         budget_ms=budget_ms,
         progress=progress,
-        max_order=max_order,
     )
     if res.aborted:
         outcome = "budget_abort"
@@ -227,7 +225,7 @@ def longest_avoiding(
     else:
         outcome = "maximal"
         length, letters = res.best_len, res.best_word
-    witness = _verified_witness(letters, k, m, p, max_order)
+    witness = _verified_witness(letters, k, m, p)
     counts = list(res.counts)
     while counts and counts[-1] == 0:
         counts.pop()  # lengths past the deepest survivor: zero for a maximal
@@ -257,7 +255,6 @@ def count_avoiding(
     node_budget: Optional[int] = None,
     budget_ms: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> CountTable:
     """Exact counts of (m, p)-power-free words of each length 1..n_max.
 
@@ -274,7 +271,6 @@ def count_avoiding(
         node_budget=node_budget,
         budget_ms=budget_ms,
         progress=progress,
-        max_order=max_order,
     )
     if res.aborted:
         raise BudgetExceededError(

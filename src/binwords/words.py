@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Union
 from .errors import InvalidInputError, UnsupportedOrderError
 
 MAX_ALPHABET = 8
-DEFAULT_MAX_ORDER = 4
+MAX_ORDER = 4  # order 2 carries the paper's results; 3 and 4 check its lemmas
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,16 @@ def mirror(u: WordLike, alphabet: Union[Alphabet, int, None] = None) -> Word:
     return word(u, alphabet).mirror()
 
 
-def _check_order(m: int, max_order: int) -> None:
+def _check_order(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidInputError(f"order must be a positive int, got {m!r}")
-    if m > max_order:
-        raise UnsupportedOrderError(f"order {m} exceeds the configured cap {max_order}")
+    if m > MAX_ORDER:
+        raise UnsupportedOrderError(f"order {m} exceeds the cap {MAX_ORDER}")
+
+
+def _check_power(p: int) -> None:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise InvalidInputError(f"power must be an int >= 2, got {p!r}")
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +299,7 @@ class BinomialSignature:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_order(self.order, self.order)
+        _check_order(self.order)
         expected = len(index_words(self.alphabet.size, self.order))
         if len(self.counts) != expected:
             raise InvalidInputError(
@@ -361,14 +366,10 @@ class BinomialSignature:
 
 
 def signature(
-    u: WordLike,
-    m: int,
-    *,
-    alphabet: Union[Alphabet, int, None] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
+    u: WordLike, m: int, *, alphabet: Union[Alphabet, int, None] = None
 ) -> BinomialSignature:
     """The order-m binomial signature of u, built in one streaming pass."""
-    _check_order(m, max_order)
+    _check_order(m)
     uw = word(u, alphabet)
     k = uw.alphabet.size
     if k == 2 and m == 2:
@@ -382,22 +383,14 @@ def signature(
 
 
 def equivalent(
-    u: WordLike,
-    v: WordLike,
-    m: int,
-    *,
-    alphabet: Union[Alphabet, int, None] = None,
-    max_order: int = DEFAULT_MAX_ORDER,
+    u: WordLike, v: WordLike, m: int, *, alphabet: Union[Alphabet, int, None] = None
 ) -> bool:
     """m-binomial equivalence: equal counts for every pattern of length <= m."""
-    _check_order(m, max_order)
+    _check_order(m)
     uw, vw = _common_alphabet(u, v, alphabet)
     if len(uw) != len(vw):
         return False
-    return (
-        signature(uw, m, max_order=max_order).counts
-        == signature(vw, m, max_order=max_order).counts
-    )
+    return signature(uw, m).counts == signature(vw, m).counts
 
 
 def ascent_imbalance(u: WordLike, alphabet: Union[Alphabet, int, None] = None) -> int:
@@ -418,14 +411,9 @@ class PrefixIndex:
     """
 
     def __init__(
-        self,
-        w: WordLike,
-        m: int = 2,
-        *,
-        alphabet: Union[Alphabet, int, None] = None,
-        max_order: int = DEFAULT_MAX_ORDER,
+        self, w: WordLike, m: int = 2, *, alphabet: Union[Alphabet, int, None] = None
     ) -> None:
-        _check_order(m, max_order)
+        _check_order(m)
         wd = word(w, alphabet)
         self.alphabet = wd.alphabet
         self.order = m

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from binwords.cli import main
 
 X_PREFIX_24 = "012021012102012021020121"
@@ -252,6 +254,16 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("fault", [(), ("--inject-fault", "consistency")])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, capsys, trials, fault):
+        code, out, err = run(
+            capsys, "verify", "--check", "consistency", "--trials", trials, *fault
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
 
     def test_results_dir(self, capsys, tmp_path):
         outdir = tmp_path / "results"

@@ -183,7 +183,6 @@ class TestValidation:
             find_power("0101", 0, 2)
         with pytest.raises(InvalidInputError):
             find_power("0101", 5, 2)
-        assert find_power("0101", 5, 2, max_order=6) is not None
 
     def test_engine_name_validation(self):
         with pytest.raises(InvalidInputError):

@@ -339,9 +339,7 @@ class TestLiftMatrix:
     def test_higher_order_lift_validates(self):
         lifted = lift_matrix(h(), 3, validate_trials=500)
         u = word("0110", 2)
-        assert lifted.apply(signature(u, 3, max_order=3)).counts == signature(
-            h()(u), 3, max_order=3
-        ).counts
+        assert lifted.apply(signature(u, 3)).counts == signature(h()(u), 3).counts
         lifted4 = lift_matrix(h(), 4, validate_trials=100)
         assert len(lifted4.rows) == 30
 

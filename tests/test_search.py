@@ -185,6 +185,12 @@ class TestValidationAndProgress:
         with pytest.raises(InvalidInputError):
             count_avoiding(9, 2, 2, 4)
 
+    @pytest.mark.parametrize("cap", [True, 2.5, "3"])
+    @pytest.mark.parametrize("entry", [longest_avoiding, count_avoiding])
+    def test_non_int_cap_rejected(self, entry, cap):
+        with pytest.raises(InvalidInputError):
+            entry(2, 2, 3, cap)
+
     def test_progress_reports_new_depths(self):
         seen: list[tuple[int, int, int]] = []
         longest_avoiding(3, 2, 2, 12, progress=lambda d, n, a: seen.append((d, n, a)))

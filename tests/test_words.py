@@ -8,6 +8,7 @@ from binwords import (
     Alphabet,
     BinomialSignature,
     InvalidInputError,
+    MAX_ORDER,
     PrefixIndex,
     UnsupportedOrderError,
     Word,
@@ -183,8 +184,6 @@ class TestSignature:
             signature("01", 0)
         with pytest.raises(UnsupportedOrderError):
             signature("01", 5)
-        # the cap is configurable
-        assert signature("01", 5, max_order=5).count("01011") == 0
 
     def test_counts_tuple_length_is_validated(self):
         with pytest.raises(InvalidInputError):
@@ -192,7 +191,7 @@ class TestSignature:
 
     @given(binary_letters, st.integers(1, 3))
     def test_matches_naive_signature_binary(self, letters, m):
-        got = signature(bword(letters), m, max_order=3)
+        got = signature(bword(letters), m)
         assert got.counts == naive_signature(letters, m, 2)
 
     @given(ternary_letters, st.integers(1, 2))
@@ -202,7 +201,7 @@ class TestSignature:
 
     def test_fast_binary_path_agrees_with_generic(self):
         # same inputs through the order-2 binary fast path and the generic
-        # streaming updates (reached via max order 3)
+        # streaming updates (reached via order 3)
         for letters in words_up_to(2, 7):
             fast = signature(bword(letters), 2).counts
             slow = signature(bword(letters), 3)
@@ -291,11 +290,11 @@ class TestEquivalence:
     def test_full_order_equivalence_forces_equality(self):
         # with the order as large as the length, the word itself is one of
         # the counted patterns, so distinct words must separate
-        for n in range(1, 7):
+        for n in range(1, MAX_ORDER + 1):
             group = [bword(t) for t in product(range(2), repeat=n)]
             for a in group:
                 for b in group:
-                    assert equivalent(a, b, n, max_order=n) == (a == b)
+                    assert equivalent(a, b, n) == (a == b)
 
 
 class TestAscentImbalance:
@@ -390,12 +389,12 @@ class TestPrefixIndex:
 class TestHigherOrders:
     def test_order_three_and_four_counts(self):
         w = bword((0, 1, 1, 0, 1))
-        sig3 = signature(w, 3, max_order=3)
+        sig3 = signature(w, 3)
         for pattern in product(range(2), repeat=3):
             assert sig3.count(bword(pattern)) == naive_subword_count(
                 w.letters, pattern
             )
-        sig4 = signature(w, 4, max_order=4)
+        sig4 = signature(w, 4)
         assert sig4.count(bword((0, 1, 1, 0))) == naive_subword_count(
             w.letters, (0, 1, 1, 0)
         )
