@@ -49,7 +49,6 @@ class Config:
     scan_len: int = 5000
     search_cap: int = 50
     budget_ms: int | None = None
-    threads: int = 1
 
 
 def dump(path: Path, payload: dict) -> None:
@@ -135,7 +134,7 @@ def reproduce_matrix(cfg: Config) -> bool:
 
 def reproduce_battery(cfg: Config) -> int:
     t0 = time.perf_counter()
-    reports = run_all(CheckConfig(budget_ms=cfg.budget_ms), threads=cfg.threads)
+    reports = run_all(CheckConfig(budget_ms=cfg.budget_ms))
     agg = aggregate(reports, include_timing=True)
     dump(cfg.out / "verification.json", agg)
     for rep in reports:
@@ -151,7 +150,6 @@ def main() -> int:
     ap.add_argument("--scan-len", type=int, default=5000)
     ap.add_argument("--search-cap", type=int, default=50)
     ap.add_argument("--budget-ms", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--skip-battery", action="store_true")
     args = ap.parse_args()
 
@@ -160,7 +158,6 @@ def main() -> int:
         scan_len=args.scan_len,
         search_cap=args.search_cap,
         budget_ms=args.budget_ms,
-        threads=args.threads,
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
 

@@ -18,7 +18,8 @@ Checks, by registry name:
   matrix           the lifted matrix of the binary generator reproduces
                    order-2 signatures of images exactly
   cyclic           moving a boundary 1 (or 0) across a binary word shifts
-                   the 01/10 counts by the complementary letter count
+                   the 01/10 counts by the complementary letter count; the
+                   0-boundary implication is checked in mirrored form
   cube-mod1        no order-2 triple power matches the image shape offset
                    by one position (exhaustive over shape parameters)
   cube-mod2        same, offset by two positions
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 from math import comb
 from typing import Callable, Optional
 
@@ -54,8 +54,8 @@ from .words import (
     BinomialSignature,
     PrefixIndex,
     Word,
+    _index_positions,
     ascent_imbalance,
-    index_words,
     signature,
 )
 
@@ -63,7 +63,6 @@ VIOLATION_SAMPLE_CAP = 100
 NOTE_CAP = 100
 
 _A2 = Alphabet(2)
-_A3 = Alphabet(3)
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,16 @@ def _driven(
     except BudgetExceededError:
         return run.finish(aborted=True)
     return run.finish(aborted=False)
+
+
+def _binary_words(n: int) -> list[Word]:
+    return [Word(tup, _A2) for tup in product((0, 1), repeat=n)]
+
+
+def _random_word(rng: random.Random, k: int, lo: int, hi: int) -> Word:
+    """A word over k letters with its length drawn from lo..hi, then its letters."""
+    ln = rng.randrange(lo, hi + 1)
+    return Word(tuple(rng.randrange(k) for _ in range(ln)), Alphabet(k))
 
 
 def check_erasure(
@@ -331,16 +340,9 @@ def check_matrix_identity(
             lifted = replace(lifted, rows=tuple(tuple(r) for r in rows))
         rng = random.Random(f"{seed}:matrix")
         fixed = [Word((), _A2), Word((0,), _A2), Word((1,), _A2)]
-        for u in fixed:
+        sampled = (_random_word(rng, 2, 0, max_len) for _ in range(trials))
+        for u in chain(fixed, sampled):
             run.tick()
-            got = lifted.apply(signature(u, 2))
-            want = signature(h(u), 2)
-            if got.counts != want.counts or got.length != want.length:
-                run.violation(f"matrix action wrong on fixed word {u!s}")
-        for _ in range(trials):
-            run.tick()
-            ln = rng.randrange(0, max_len + 1)
-            u = Word(tuple(rng.randrange(2) for _ in range(ln)), _A2)
             got = lifted.apply(signature(u, 2))
             want = signature(h(u), 2)
             if got.counts != want.counts or got.length != want.length:
@@ -369,66 +371,34 @@ def check_cyclic_shift(
     def body(run: _Run) -> None:
         rng = random.Random(f"{seed}:cyclic")
         correction = 0 if fault else 1  # negative control drops the shift term
-        one = Word((1,), _A2)
-        zero = Word((0,), _A2)
+        ends = [(b, Word((b,), _A2)) for b in (1, 0)]
         for _ in range(trials):
             run.tick()
-            ln = rng.randrange(0, max_len + 1)
-            x = Word(tuple(rng.randrange(2) for _ in range(ln)), _A2)
-            su = signature(one + x, 2)
-            sp = signature(x + one, 2)
-            n0 = su.count("0")
-            ok = (
-                sp.count("0") == n0
-                and sp.count("1") == su.count("1")
-                and sp.count("00") == su.count("00")
-                and sp.count("11") == su.count("11")
-                and sp.count("01") == su.count("01") + correction * n0
-                and sp.count("10") == su.count("10") - correction * n0
-            )
-            if not ok:
-                run.violation(f"1-boundary relations fail for x={x!s}")
-            du = signature(zero + x, 2)
-            dp = signature(x + zero, 2)
-            n1 = du.count("1")
-            ok = (
-                dp.count("0") == du.count("0")
-                and dp.count("1") == n1
-                and dp.count("00") == du.count("00")
-                and dp.count("11") == du.count("11")
-                and dp.count("01") == du.count("01") - correction * n1
-                and dp.count("10") == du.count("10") + correction * n1
-            )
-            if not ok:
-                run.violation(f"0-boundary relations fail for x={x!s}")
-        # implication on exhaustive words: equivalent 1-fronted words stay
-        # equivalent with the 1 moved to the back, and dually for 0
+            x = _random_word(rng, 2, 0, max_len)
+            for b, end in ends:
+                # moved to the back, b follows each letter of x instead of
+                # preceding it: 01 gains |x|_0 for b = 1 and loses |x|_1 for b = 0
+                n0, n1, n00, n01, n10, n11 = signature(end + x, 2).counts
+                shift = correction * (n0 if b else -n1)
+                want = (n0, n1, n00, n01 + shift, n10 - shift, n11)
+                if signature(x + end, 2).counts != want:
+                    run.violation(f"{b}-boundary relations fail for x={x!s}")
+        # implication on exhaustive words: bu ~ bv implies ub ~ vb.  For b = 0
+        # this is the mirror of u0 ~ v0 => 0u ~ 0v, which it is equivalent to
+        # because mirroring preserves equivalence.
         impl_len = 10
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for tup in product((0, 1), repeat=impl_len):
-            if tup[0] == 1:
-                groups.setdefault(signature(Word(tup, _A2), 2).counts, []).append(tup)
         pairs = 0
-        for members in groups.values():
-            base = members[0]
-            sb = signature(Word(base[1:] + (1,), _A2), 2).counts
-            for other in members[1:]:
-                run.tick()
-                pairs += 1
-                if signature(Word(other[1:] + (1,), _A2), 2).counts != sb:
-                    run.violation(f"1-shift implication fails for {base} vs {other}")
-        groups.clear()
-        for tup in product((0, 1), repeat=impl_len):
-            if tup[-1] == 0:
-                groups.setdefault(signature(Word(tup, _A2), 2).counts, []).append(tup)
-        for members in groups.values():
-            base = members[0]
-            sb = signature(Word((0,) + base[:-1], _A2), 2).counts
-            for other in members[1:]:
-                run.tick()
-                pairs += 1
-                if signature(Word((0,) + other[:-1], _A2), 2).counts != sb:
-                    run.violation(f"0-shift implication fails for {base} vs {other}")
+        for b in (1, 0):
+            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for u in product((0, 1), repeat=impl_len - 1):
+                groups.setdefault(signature(Word((b,) + u, _A2), 2).counts, []).append(u)
+            for base, *others in groups.values():
+                sb = signature(Word(base + (b,), _A2), 2).counts
+                for other in others:
+                    run.tick()
+                    pairs += 1
+                    if signature(Word(other + (b,), _A2), 2).counts != sb:
+                        run.violation(f"{b}-shift implication fails for {base} vs {other}")
         run.note(f"implication pairs at length {impl_len}: {pairs}")
 
     return _driven(
@@ -437,10 +407,6 @@ def check_cyclic_shift(
         budget_ms,
         body,
     )
-
-
-def _binary_words(n: int) -> list[Word]:
-    return [Word(tup, _A2) for tup in product((0, 1), repeat=n)]
 
 
 def _cube_shape_check(
@@ -547,33 +513,23 @@ def check_image_cube_freeness(
             else parse_morphism("0->000,1->111")  # negative control: cubes letters
         )
         rng = random.Random(f"{seed}:image")
+        exhaustive = (w for ln in range(exhaustive_len + 1) for w in _binary_words(ln))
+        sampled = (
+            _random_word(rng, 2, exhaustive_len + 1, max_len)
+            for _ in (range(trials) if max_len > exhaustive_len else ())
+        )
         tested = 0
-        for ln in range(0, exhaustive_len + 1):
-            for w in _binary_words(ln):
-                run.tick()
-                if find_power(w, 2, 3) is not None:
-                    continue
-                tested += 1
-                occ = find_power(gen(w), 2, 3)
-                if occ is not None:
-                    run.violation(
-                        f"image of cube-free {w!s} has a cube at {occ.start}"
-                        f" period {occ.period}"
-                    )
-        if max_len > exhaustive_len:
-            for _ in range(trials):
-                run.tick()
-                ln = rng.randrange(exhaustive_len + 1, max_len + 1)
-                w = Word(tuple(rng.randrange(2) for _ in range(ln)), _A2)
-                if find_power(w, 2, 3) is not None:
-                    continue
-                tested += 1
-                occ = find_power(gen(w), 2, 3)
-                if occ is not None:
-                    run.violation(
-                        f"image of cube-free {w!s} has a cube at {occ.start}"
-                        f" period {occ.period}"
-                    )
+        for w in chain(exhaustive, sampled):
+            run.tick()
+            if find_power(w, 2, 3) is not None:
+                continue
+            tested += 1
+            occ = find_power(gen(w), 2, 3)
+            if occ is not None:
+                run.violation(
+                    f"image of cube-free {w!s} has a cube at {occ.start}"
+                    f" period {occ.period}"
+                )
         run.note(f"cube-free words whose images were scanned: {tested}")
 
     return _driven(
@@ -606,12 +562,11 @@ def check_pair_identities(
         for _ in range(trials):
             run.tick()
             k = rng.choice((2, 3))
-            ln = rng.randrange(0, max_len + 1)
-            w = Word(tuple(rng.randrange(k) for _ in range(ln)), Alphabet(k))
+            w = _random_word(rng, k, 0, max_len)
             counts = list(signature(w, 2).counts)
             if fault:
                 counts[k] += 1  # negative control: corrupt the first pair count
-            pos = {x: i for i, x in enumerate(index_words(k, 2))}
+            pos = _index_positions(k, 2)
             bad = False
             for a in range(k):
                 if counts[pos[(a, a)]] != comb(counts[pos[(a,)]], 2):
@@ -647,8 +602,8 @@ def check_signature_consistency(
         for _ in range(trials):
             run.tick()
             k = rng.choice((2, 3))
-            ln = rng.randrange(0, max_len + 1)
-            w = Word(tuple(rng.randrange(k) for _ in range(ln)), Alphabet(k))
+            w = _random_word(rng, k, 0, max_len)
+            ln = len(w)
             ref = list(signature(w, 2).counts)
             if fault:
                 ref[0] += 1  # negative control: corrupt the streamed reference
@@ -749,18 +704,18 @@ def run_all(
     names: Optional[list[str]] = None,
     threads: int = 1,
 ) -> list[CheckReport]:
-    """Run the battery (or a named subset) in registry order.
+    """Run the battery in registry order, or the named subset in the given
+    order, one check after another.
 
-    Threads > 1 runs checks concurrently; the result order and content
-    are identical to the single-threaded reference."""
+    The checks are pure Python and hold the GIL, so a thread pool only adds
+    overhead.  `threads` must be an int >= 1 and is otherwise ignored."""
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise InvalidInputError(f"threads must be an int >= 1, got {threads!r}")
     selected = list(CHECK_NAMES) if names is None else list(names)
     for n in selected:
         if n not in CHECK_NAMES:
             raise InvalidInputError(f"unknown check {n!r}")
-    if threads <= 1 or len(selected) <= 1:
-        return [run_check(n, cfg) for n in selected]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda n: run_check(n, cfg), selected))
+    return [run_check(n, cfg) for n in selected]
 
 
 def aggregate(reports: list[CheckReport], include_timing: bool = False) -> dict:

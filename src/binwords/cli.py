@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
             consistency_trials=args.trials,
         )
     names = args.check if args.check else None
-    reports = run_all(cfg, names=names, threads=args.threads)
+    reports = run_all(cfg, names=names)
     if args.results_dir is not None:
         os.makedirs(args.results_dir, exist_ok=True)
         for rep in reports:
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative control: corrupt this check, it must then fail",
     )
     p.add_argument("--results-dir", default=None, help="write per-check JSON here")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_verify)

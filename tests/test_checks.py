@@ -40,6 +40,16 @@ def small(**overrides) -> CheckConfig:
     return dataclasses.replace(SMALL, **overrides)
 
 
+# SMALL-config instances (clean and under the check's own fault) and the
+# violations_total under that fault, so a check that skips or repeats part
+# of its material fails
+SMALL_PINS = {
+    "cyclic": (1064, 532),
+    "matrix": (303, 272),
+    "image-cube-free": (531, 155),
+}
+
+
 class TestIndividualChecks:
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_passes_clean(self, name):
@@ -49,6 +59,8 @@ class TestIndividualChecks:
         assert rep.violations_total == 0
         assert not rep.aborted
         assert rep.instances > 0
+        if name in SMALL_PINS:
+            assert rep.instances == SMALL_PINS[name][0]
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_fault_injection_flips(self, name):
@@ -57,6 +69,11 @@ class TestIndividualChecks:
         assert not rep.passed
         assert len(rep.violations) <= 100
         assert len(rep.violations) <= rep.violations_total
+        if name in SMALL_PINS:
+            assert (rep.instances, rep.violations_total) == SMALL_PINS[name]
+        if name == "cyclic":
+            kinds = {v.split()[0] for v in rep.violations}
+            assert kinds == {"1-boundary", "0-boundary"}
 
     def test_fault_in_one_check_leaves_others_clean(self):
         cfg = small(fault=frozenset({"matrix"}))
@@ -121,10 +138,15 @@ class TestRunAll:
         reports = run_all(SMALL, names=names)
         assert [r.name for r in reports] == names
 
-    def test_threads_match_single_threaded(self):
-        one = [r.to_dict() for r in run_all(SMALL)]
-        two = [r.to_dict() for r in run_all(SMALL, threads=4)]
-        assert one == two
+    @pytest.mark.parametrize("threads", [0, -2, True, 2.5, "2"])
+    def test_invalid_threads_rejected(self, threads):
+        with pytest.raises(InvalidInputError):
+            run_all(SMALL, names=["erasure"], threads=threads)
+
+    def test_valid_threads_run_sequentially(self):
+        names = ["identities", "erasure"]
+        three = [r.to_dict() for r in run_all(SMALL, names=names, threads=3)]
+        assert three == [r.to_dict() for r in run_all(SMALL, names=names)]
 
     def test_aggregate_clean(self):
         reports = run_all(SMALL, names=["erasure", "matrix"])

@@ -277,14 +277,11 @@ class TestVerify:
         with open(outdir / "erasure.json", encoding="utf-8") as fh:
             assert json.load(fh)["name"] == "erasure"
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify", "--check", "erasure", "--check", "identities",
-            "--trials", "100", "--threads", "2",
-        )
-        assert code == 0
-        assert json.loads(out)["passed"] is True
+    def test_threads_option_removed(self, capsys):
+        code, out, err = run(capsys, "verify", "--check", "erasure", "--threads", "-2")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
     def test_default_flag_accepted(self, capsys):
         code, out, _ = run(
