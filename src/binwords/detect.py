@@ -132,23 +132,30 @@ def _key_fits(k: int, n: int) -> bool:
 
 
 def _pair_survivors(
-    cums: dict[int, np.ndarray], pairs: list, hits: np.ndarray, t: int, p: int
+    cums: dict[int, np.ndarray],
+    pairs: list,
+    starts: np.ndarray,
+    t: Union[int, np.ndarray],
+    p: int,
 ) -> np.ndarray:
-    """The starts in hits whose p blocks of length t agree on every pair entry;
-    hits are abelian survivors, so every block holds the first block's nb b's."""
+    """The starts whose p blocks of length t agree on every pair entry; t is
+    one period for all starts or an array of one period per start.  The
+    starts are abelian survivors, so every block holds the first block's nb b's."""
     for c, a, b in pairs:
-        if not hits.size:
+        if not starts.size:
             break
         col, ca, cb = cums[c], cums[a], cums[b]
-        bounds = [hits + j * t for j in range(p + 1)]
+        bounds = [starts + j * t for j in range(p + 1)]
         ends = [col[x] for x in bounds]
-        nb = cb[bounds[1]] - cb[hits]
+        nb = cb[bounds[1]] - cb[starts]
         counts = [ends[j + 1] - ends[j] - ca[bounds[j]] * nb for j in range(p)]
         keep = counts[1] == counts[0]
         for other in counts[2:]:
             keep &= other == counts[0]
-        hits = hits[keep]
-    return hits
+        starts = starts[keep]
+        if isinstance(t, np.ndarray):
+            t = t[keep]
+    return starts
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:

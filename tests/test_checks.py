@@ -83,7 +83,10 @@ class TestIndividualChecks:
 
     def test_desubstitution_reports_case_split(self):
         rep = run_check("desubstitution", SMALL)
-        assert any("mirror" in n or "case" in n for n in rep.notes) or rep.notes
+        assert rep.notes == (
+            "distinct abelian squares: 60; both cases applied: 0;"
+            " imbalance clause checked: 0",
+        )
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):

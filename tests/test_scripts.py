@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,20 @@ def test_growth_table_small_run():
     proc = run_script("growth_table.py", "--n-max", "5")
     assert proc.returncode == 0, proc.stderr
     assert "length\tcount\n" in proc.stdout
+
+
+def test_bench_smoke(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = run_script(
+        "bench.py", "--workload", "search", "--seeds", "1", "--seconds", "0.1",
+        "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["seeds"] == [1]
+    (run,) = record["workloads"]["search"]["runs"]
+    assert run["correct"] and run["failed"] == 0
+    wall = record["workloads"]["search"]["summary"]["wall_s"]
+    assert 0 < wall["q1"] == wall["median"] == wall["q3"]
+    assert set(record["host"]) == {"nproc", "cpu_model", "python", "numpy"}
+    assert record["host"]["nproc"] >= 1

@@ -1,7 +1,11 @@
 import itertools
+import re
+from functools import lru_cache
+from math import perm
 
 import pytest
 
+import binwords.search as search
 from binwords import (
     BudgetExceededError,
     CountTable,
@@ -13,6 +17,8 @@ from binwords import (
     word,
 )
 
+from oracles import all_words, naive_find_power
+
 
 def brute_counts(k: int, m: int, p: int, n_max: int) -> tuple[int, ...]:
     out = []
@@ -23,6 +29,23 @@ def brute_counts(k: int, m: int, p: int, n_max: int) -> tuple[int, ...]:
                 alive += 1
         out.append(alive)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def oracle_counts(k: int, m: int, p: int, n_max: int) -> tuple[int, ...]:
+    """Power-free words of each length 1..n_max, by the naive oracle."""
+    return tuple(
+        sum(naive_find_power(w, m, p, k) is None for w in all_words(k, n))
+        for n in range(1, n_max + 1)
+    )
+
+
+# (k, n_max) pairs the naive oracle affords
+ORBIT_CASES = [(1, 6), (2, 9), (3, 7), (4, 5)]
+
+
+def check_counts_match_oracle(k: int, m: int, p: int, n_max: int) -> None:
+    assert count_avoiding(k, m, p, n_max).counts == oracle_counts(k, m, p, n_max)
 
 
 class TestLongestAvoiding:
@@ -132,12 +155,13 @@ class TestCountAvoiding:
         assert all(a <= b for a, b in zip(squares, cubes))
 
     def test_symmetry_reduction_divides_by_alphabet(self):
-        for k in (2, 3):
-            full = count_avoiding(k, 2, 2, 6)
-            red = count_avoiding(k, 2, 2, 6, symmetry=True)
-            assert red.symmetry_reduced
-            assert tuple(c * k for c in red.counts) == full.counts
-            assert red.nodes < full.nodes
+        for k, n_max in ORBIT_CASES:
+            for m, p in itertools.product((1, 2), (2, 3)):
+                full = count_avoiding(k, m, p, n_max)
+                red = count_avoiding(k, m, p, n_max, symmetry=True)
+                assert red.symmetry_reduced
+                assert tuple(c * k for c in red.counts) == full.counts
+                assert red.nodes * k == full.nodes
 
     def test_tsv_format(self):
         table = count_avoiding(2, 2, 2, 4)
@@ -151,6 +175,30 @@ class TestCountAvoiding:
         assert text.endswith("\n")
 
 
+class TestOrbitWalk:
+    """count_avoiding walks one word per letter-renaming orbit and weighs it
+    by the orbit's size; the totals must be those of the full tree."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k,n_max", ORBIT_CASES)
+    def test_counts_match_oracle(self, k, n_max, m, p):
+        check_counts_match_oracle(k, m, p, n_max)
+
+    def test_nodes_match_the_full_tree(self):
+        # every node of the full tree is one letter appended to a survivor
+        # (or to the empty word), so nodes = k * (1 + survivors short of n_max)
+        for k, m, p, n_max in ((3, 2, 2, 10), (2, 2, 3, 12), (4, 1, 3, 6)):
+            table = count_avoiding(k, m, p, n_max)
+            assert table.nodes == k * (1 + sum(table.counts[:-1]))
+
+    def test_unit_weights_are_caught(self, monkeypatch):
+        # negative control: weigh every orbit as one word
+        monkeypatch.setattr(search, "perm", lambda n, r: 1)
+        with pytest.raises(AssertionError):
+            check_counts_match_oracle(3, 2, 2, 6)
+
+
 class TestBudgets:
     def test_node_budget_aborts_search(self):
         cert = longest_avoiding(3, 2, 2, 30, node_budget=5)
@@ -161,6 +209,19 @@ class TestBudgets:
     def test_node_budget_aborts_count(self):
         with pytest.raises(BudgetExceededError):
             count_avoiding(3, 2, 2, 30, node_budget=5)
+
+    @pytest.mark.parametrize("k,p", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("budget", [5, 1000, 12345])
+    def test_count_stops_before_the_orbit_that_would_pass_the_budget(self, budget, k, p):
+        # a node stands for up to k! words, so a count stops at most
+        # k! - 1 nodes short of its budget, at the same node on every run
+        reported = []
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as err:
+                count_avoiding(k, 2, p, 40, node_budget=budget)
+            reported.append(int(re.search(r"after (\d+) nodes", str(err.value))[1]))
+        assert reported[0] == reported[1]
+        assert budget - perm(k) < reported[0] <= budget
 
     def test_zero_time_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -1,5 +1,6 @@
 """The two-stage vector kernel: its int64 bounds, and a differential test
-against the naive oracle with a negative control.
+against the naive oracle with a negative control; then the same two
+stages at deep search nodes, against the search's python suffix test.
 
 Stage 1 compares the blocks' letter counts through one packed int64 key
 (letter columns one by one when the key would not fit); stage 2 tests the
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import binwords.detect as detect
-from binwords import PRESETS, find_power, fixed_point_prefix
+import binwords.search as search
+from binwords import PRESETS, PrefixIndex, find_power, fixed_point_prefix, longest_avoiding
 
 from oracles import naive_find_power
 
@@ -92,3 +94,78 @@ def test_skipping_stage_two_is_caught(monkeypatch):
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
+
+
+# ---------------------------------------------------------------- deep search nodes
+
+MIRROR_CAP = 4 * MAX_LEN  # longest script: four segments
+
+
+@st.composite
+def regrown_words(draw):
+    """A push/pop script over k <= 4 letters: a mutated g/h factor or a
+    random word, then a few rounds of popping some letters (possibly below
+    the depth where the mirror takes over) and pushing new ones."""
+    if draw(st.booleans()):
+        first, k = draw(mutated_factors())
+    else:
+        k = draw(st.integers(1, 4))
+        first = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=MAX_LEN))
+    segments = [(0, first)]
+    for _ in range(draw(st.integers(0, 3))):
+        drop = draw(st.integers(1, MAX_LEN))
+        grow = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=MAX_LEN))
+        segments.append((drop, grow))
+    return k, segments
+
+
+@settings(max_examples=200)
+@given(
+    regrown_words(),
+    st.sampled_from([1, 2]),
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, MAX_LEN),
+)
+def test_mirror_suffix_test_matches_python(script, m, p, deep):
+    # replay the script as the search does: the mirror answers at depths
+    # >= deep only, and every pop goes through it
+    k, segments = script
+    idx = PrefixIndex([], m, alphabet=k)
+    mirror = search._Mirror(idx, MIRROR_CAP)
+    for drop, grow in segments:
+        for _ in range(min(drop, len(idx))):
+            mirror.pop()
+        for a in grow:
+            idx._push(a)
+            if len(idx) >= deep:
+                assert mirror.power_ends_at_last(p) == search._power_ends_at_last(idx, p)
+
+
+def test_mirror_without_stage_two_is_caught(monkeypatch):
+    # negative control: order 2 decided by letter counts alone
+    monkeypatch.setattr(search, "_pair_survivors", lambda cums, pairs, starts, t, p: starts)
+    with pytest.raises(AssertionError):
+        test_mirror_suffix_test_matches_python()
+
+
+SEARCH_CASES = [
+    (2, 2, 2, 100, False),  # maximal at 3
+    (3, 1, 2, 100, False),  # abelian squares: maximal at 7
+    (2, 1, 3, 100, True),  # abelian cubes: maximal at 9
+    (3, 2, 2, 60, False),
+    (3, 2, 2, 40, True),
+    (2, 2, 3, 70, False),
+    (4, 1, 2, 30, False),
+]
+
+
+@pytest.mark.parametrize("deep", [0, 5])
+@pytest.mark.parametrize("k,m,p,cap,symmetry", SEARCH_CASES)
+def test_search_with_numpy_from_shallow_depths(monkeypatch, k, m, p, cap, symmetry, deep):
+    def run():
+        return longest_avoiding(k, m, p, cap, symmetry=symmetry).to_dict()
+
+    monkeypatch.setattr(search, "_NUMPY_DEPTH", cap + 1)
+    python = run()
+    monkeypatch.setattr(search, "_NUMPY_DEPTH", deep)
+    assert run() == python
