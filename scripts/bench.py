@@ -18,7 +18,8 @@ change / parent and the winner.  The worktree is removed afterwards.
         --seeds 401 402 403 404 405 406 407 408 409 410 --out BENCH.json
 
 Exit status: 0 when every run passed its own correctness checks, 1 if any
-run failed, 2 on bad arguments.
+run failed, 2 on bad arguments (a --parent that names no commit is caught
+before any run starts).
 """
 
 from __future__ import annotations
@@ -165,15 +166,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
+    parent = None
+    if args.parent is not None:
+        parent = subprocess.run(
+            ["git", "rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}"],
+            cwd=ROOT, capture_output=True, text=True,
+        ).stdout.strip()
+        if not parent:
+            print(f"bench.py: --parent {args.parent!r} names no commit", file=sys.stderr)
+            return 2
     workloads = args.workload or list(WORKLOADS)
-    if args.parent is None:
+    if parent is None:
         record = bench(workloads, args.seeds, args.seconds, None)
     else:
-        with worktree(args.parent) as path:
+        with worktree(parent) as path:
             record = bench(workloads, args.seeds, args.seconds, path)
-        record["parent"] = subprocess.run(
-            ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True
-        ).stdout.strip()
+        record["parent"] = parent
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     runs = [r for w in record["workloads"].values()
             for r in w["runs"] + w.get("parent_runs", [])]

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from binwords import BudgetExceededError, count_avoiding
+from binwords import BudgetExceededError, InvalidInputError, count_avoiding
 
 DEFAULT_FAMILIES = ("3,2,2", "2,2,3")
 
@@ -22,7 +22,7 @@ def parse_family(text: str) -> tuple[int, int, int]:
     try:
         k, m, p = (int(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(f"bad family {text!r}, expected k,m,p") from None
+        raise InvalidInputError(f"bad family {text!r}, expected k,m,p") from None
     return k, m, p
 
 
@@ -41,28 +41,30 @@ def main() -> int:
     ap.add_argument("--out-dir", type=Path, default=None, help="also write TSV files")
     args = ap.parse_args()
 
-    families = [parse_family(t) for t in (args.family or DEFAULT_FAMILIES)]
-    if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    for k, m, p in families:
-        try:
+    try:
+        families = [parse_family(t) for t in (args.family or DEFAULT_FAMILIES)]
+        if args.out_dir is not None:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        for k, m, p in families:
             table = count_avoiding(
                 k, m, p, args.n_max,
                 symmetry=args.symmetry,
                 node_budget=args.node_budget,
             )
-        except BudgetExceededError as exc:
-            print(f"family k={k} m={m} p={p}: {exc}", file=sys.stderr)
-            return 3
-        text = table.to_tsv()
-        sys.stdout.write(text)
-        if table.counts and table.counts[-1] == 0:
-            dead = next(i for i, c in enumerate(table.counts, start=1) if c == 0)
-            print(f"# tree dies: longest avoiding word has length {dead - 1}")
-        if args.out_dir is not None:
-            name = f"growth_k{k}_m{m}_p{p}{'_sym' if args.symmetry else ''}.tsv"
-            (args.out_dir / name).write_text(text)
+            text = table.to_tsv()
+            sys.stdout.write(text)
+            if table.counts and table.counts[-1] == 0:
+                dead = next(i for i, c in enumerate(table.counts, start=1) if c == 0)
+                print(f"# tree dies: longest avoiding word has length {dead - 1}")
+            if args.out_dir is not None:
+                name = f"growth_k{k}_m{m}_p{p}{'_sym' if args.symmetry else ''}.tsv"
+                (args.out_dir / name).write_text(text)
+    except BudgetExceededError as exc:
+        print(f"family k={k} m={m} p={p}: {exc}", file=sys.stderr)
+        return 3
+    except InvalidInputError as exc:
+        print(f"growth_table: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

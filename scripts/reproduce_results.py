@@ -11,7 +11,8 @@ Covers, at the default scale:
 
 Everything lands in --out as JSON/text, plus a console summary.  Exits 1
 if any computation disagrees with the frozen expectations, else 3 if a
---budget-ms budget ran out before every computation finished.
+--budget-ms budget ran out before every computation finished; exits 2 on
+bad input such as a --search-cap below 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 from binwords import (
     BudgetExceededError,
     CheckConfig,
+    InvalidInputError,
     PRESETS,
     aggregate,
     aggregate_exit_code,
@@ -171,6 +173,9 @@ def main() -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         code = 3
+    except InvalidInputError as exc:
+        print(f"reproduce_results: {exc}", file=sys.stderr)
+        return 2
 
     if not ok:
         print("MISMATCH against frozen expectations", file=sys.stderr)

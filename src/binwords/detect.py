@@ -131,6 +131,12 @@ def _key_fits(k: int, n: int) -> bool:
     return (k - 1) * n.bit_length() <= 63
 
 
+def _pack_key(cols: list[np.ndarray], width: int) -> np.ndarray:
+    """sum of cols[i] << (i * width): letter columns packed into one int64
+    key, valid while _key_fits holds for the columns' length."""
+    return sum(col << (i * width) for i, col in enumerate(cols))
+
+
 def _pair_survivors(
     cums: dict[int, np.ndarray],
     pairs: list,
@@ -183,7 +189,7 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     keys = [cums[c] for c, a, _ in basis if a < 0]
     if len(keys) > 1 and _key_fits(k, n):
         # n.bit_length() bits per count: block differences in [0, n] never borrow
-        keys = [sum(col << (i * n.bit_length()) for i, col in enumerate(keys))]
+        keys = [_pack_key(keys, n.bit_length())]
     pairs = [entry for entry in basis if entry[1] >= 0]
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):

@@ -37,7 +37,7 @@ from .words import (
     _check_order,
     _check_power,
 )
-from .detect import _VECTOR_MAX_LEN, _key_fits, _pair_survivors, is_power_free
+from .detect import _VECTOR_MAX_LEN, _key_fits, _pack_key, _pair_survivors, is_power_free
 
 # depth, nodes, survivors at depth; a count weighs both by orbit, so they
 # include the renamings of every word walked, wherever those sort
@@ -152,8 +152,8 @@ class _Mirror:
         if lo < hi:
             for c, col in self.cols.items():
                 col[lo:hi] = self.idx._cols[c][lo:hi]
-            self.key[lo:hi] = sum(
-                self.cols[c][lo:hi] << (c * self.width) for c in self.letters
+            self.key[lo:hi] = _pack_key(
+                [self.cols[c][lo:hi] for c in self.letters], self.width
             )
             self.synced = hi
         key = self.key

@@ -200,3 +200,82 @@ class TestCheckSemantics:
         rep = run_check("mirror", SMALL)
         assert rep.params["scan_len"] == 300
         assert rep.params["max_factor"] == 8
+
+
+# every check's params at SMALL, keys in report order: the sizes, the seed
+# for sampled checks, then fault
+SMALL_PARAMS = {
+    "erasure": {"n": 400, "fault": False},
+    "mirror": {"scan_len": 300, "max_factor": 8, "margin": 3000, "fault": False},
+    "desubstitution": {"scan_len": 400, "max_len": 20, "fault": False},
+    "matrix": {"trials": 300, "max_len": 40, "seed": 0, "fault": False},
+    "cyclic": {"trials": 300, "max_len": 20, "seed": 0, "fault": False},
+    "cube-mod1": {"n_max": 4, "fault": False},
+    "cube-mod2": {"n_max": 4, "fault": False},
+    "image-cube-free": {
+        "trials": 20, "max_len": 14, "exhaustive_len": 8, "seed": 0, "fault": False,
+    },
+    "identities": {"trials": 300, "max_len": 25, "seed": 0, "fault": False},
+    "consistency": {"trials": 300, "max_len": 25, "seed": 0, "fault": False},
+}
+
+# (check, CheckConfig field, least accepted value)
+LEAST = [
+    ("erasure", "erasure_n", 1),
+    ("mirror", "mirror_scan_len", 1),
+    ("mirror", "mirror_max_factor", 1),
+    ("mirror", "mirror_margin", 1),
+    ("desubstitution", "desub_scan_len", 2),
+    ("desubstitution", "desub_max_len", 2),
+    ("matrix", "matrix_trials", 0),
+    ("matrix", "matrix_max_len", 0),
+    ("cyclic", "cyclic_trials", 0),
+    ("cyclic", "cyclic_max_len", 0),
+    ("cube-mod1", "cube_n_max", 1),
+    ("cube-mod2", "cube_n_max", 0),
+    ("image-cube-free", "image_trials", 0),
+    ("image-cube-free", "image_max_len", 0),
+    ("image-cube-free", "image_exhaustive_len", 0),
+    ("identities", "identity_trials", 1),
+    ("identities", "identity_max_len", 0),
+    ("consistency", "consistency_trials", 1),
+    ("consistency", "consistency_max_len", 0),
+]
+
+
+class TestParamsAndSizes:
+    def test_params_pinned(self):
+        got = {name: run_check(name, SMALL).params for name in CHECK_NAMES}
+        assert list(got) == list(SMALL_PARAMS)
+        for name, want in SMALL_PARAMS.items():
+            assert list(got[name].items()) == list(want.items()), name
+
+    def test_fault_param_follows_config(self):
+        rep = run_check("erasure", small(fault=frozenset({"erasure"})))
+        assert rep.params == {"n": 400, "fault": True}
+
+    @pytest.mark.parametrize("name,fld,least", LEAST)
+    @pytest.mark.parametrize("budget_ms", [None, 0])
+    def test_below_least_rejected_before_budget(self, name, fld, least, budget_ms):
+        with pytest.raises(InvalidInputError, match=fld):
+            run_check(name, small(**{fld: least - 1}, budget_ms=budget_ms))
+
+    @pytest.mark.parametrize("name,fld,least", LEAST + [("matrix", "seed", None)])
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_non_int_sizes_rejected(self, name, fld, least, bad):
+        with pytest.raises(InvalidInputError, match=fld):
+            run_check(name, small(**{fld: bad}))
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_least_sizes_are_not_vacuous(self, name):
+        rep = run_check(name, small(**{f: v for n, f, v in LEAST if n == name}))
+        assert rep.passed
+        assert rep.instances > 0
+
+    def test_margin_below_scan_len_rejected(self):
+        with pytest.raises(InvalidInputError, match="margin"):
+            run_check("mirror", small(mirror_scan_len=300, mirror_margin=299))
+
+    def test_any_int_seed_accepted(self):
+        rep = run_check("identities", small(seed=-4))
+        assert rep.passed and rep.params["seed"] == -4

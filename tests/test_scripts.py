@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -45,6 +47,41 @@ def test_growth_table_small_run():
     proc = run_script("growth_table.py", "--n-max", "5")
     assert proc.returncode == 0, proc.stderr
     assert "length\tcount\n" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("--n-max", "0"), ("--family", "9,2,2")])
+def test_growth_table_bad_input_exit_two(args):
+    proc = run_script("growth_table.py", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("growth_table: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_reproduce_results_bad_cap_exit_two(tmp_path):
+    proc = run_script(
+        "reproduce_results.py",
+        "--out", str(tmp_path / "out"),
+        "--scan-len", "300",
+        "--search-cap", "0",
+        "--skip-battery",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("reproduce_results: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_bench_unknown_parent_exit_two(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = run_script(
+        "bench.py", "--parent", "no-such-rev", "--workload", "search", "--seeds", "1",
+        "--seconds", "0.1", "--out", str(out),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "no-such-rev" in proc.stderr
+    # every perfbench run logs a "seed=" line to stderr; none may start
+    assert "seed=" not in proc.stderr
+    assert not out.exists()
 
 
 def test_bench_smoke(tmp_path):

@@ -9,6 +9,7 @@ of the g and h fixed points, which are free of 2-binomial squares and
 cubes, so abelian survivors exist and occurrences, if any, sit late.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +45,16 @@ class TestPackingBound:
         assert detect._key_fits(2, n) and packed_key_max(2, n) < INT64_LIMIT
         # a pair column holds at most C(n, 2), and the cross term is ca * nb
         assert n * n < INT64_LIMIT
+
+    @pytest.mark.parametrize("k,n", [(3, 100), (8, 511)])
+    def test_pack_key_fields_round_trip(self, k, n):
+        # counts span [0, n], so each field needs all n.bit_length() bits
+        w = n.bit_length()
+        cols = [np.array([0, n, (37 * i) % (n + 1)], dtype=np.int64) for i in range(k - 1)]
+        key = detect._pack_key(cols, w)
+        for i, col in enumerate(cols):
+            assert ((key >> (i * w)) & ((1 << w) - 1)).tolist() == col.tolist()
+        assert int(key[1]) == packed_key_max(k, n)
 
     @pytest.mark.parametrize("n", [511, 512])
     def test_scan_on_both_sides_of_the_k8_edge(self, n):
