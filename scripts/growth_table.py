@@ -13,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from binwords import BudgetExceededError, InvalidInputError, count_avoiding
+from binwords import Alphabet, BudgetExceededError, InvalidInputError, count_avoiding
+from binwords.words import _check_int, _check_order, _check_power
 
 DEFAULT_FAMILIES = ("3,2,2", "2,2,3")
 
@@ -23,6 +24,9 @@ def parse_family(text: str) -> tuple[int, int, int]:
         k, m, p = (int(part) for part in text.split(","))
     except ValueError:
         raise InvalidInputError(f"bad family {text!r}, expected k,m,p") from None
+    Alphabet(k)
+    _check_order(m)
+    _check_power(p)
     return k, m, p
 
 
@@ -42,7 +46,9 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        # every family and --n-max are checked before the first table
         families = [parse_family(t) for t in (args.family or DEFAULT_FAMILIES)]
+        _check_int(args.n_max, "--n-max", 1)
         if args.out_dir is not None:
             args.out_dir.mkdir(parents=True, exist_ok=True)
         for k, m, p in families:

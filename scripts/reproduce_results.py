@@ -12,7 +12,7 @@ Covers, at the default scale:
 Everything lands in --out as JSON/text, plus a console summary.  Exits 1
 if any computation disagrees with the frozen expectations, else 3 if a
 --budget-ms budget ran out before every computation finished; exits 2 on
-bad input such as a --search-cap below 1.
+bad input such as a --search-cap below 1, checked before any stage runs.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from binwords import (
     run_all,
     scan_fixed_point,
 )
+from binwords.words import _check_int
 
 EXPECTED_PREFIXES = {
     "g": "012021012102012021020121",
@@ -161,10 +162,12 @@ def main() -> int:
         search_cap=args.search_cap,
         budget_ms=args.budget_ms,
     )
-    cfg.out.mkdir(parents=True, exist_ok=True)
 
     ok = True
     try:
+        _check_int(cfg.scan_len, "--scan-len", 0)
+        _check_int(cfg.search_cap, "--search-cap", 1)
+        cfg.out.mkdir(parents=True, exist_ok=True)
         ok &= reproduce_prefixes(cfg)
         ok &= reproduce_scans(cfg)
         ok &= reproduce_searches(cfg)

@@ -57,6 +57,7 @@ from .words import (
     BinomialSignature,
     PrefixIndex,
     Word,
+    _check_int,
     _index_positions,
     ascent_imbalance,
     signature,
@@ -559,21 +560,20 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_check(name: str, cfg: CheckConfig = CheckConfig()) -> CheckReport:
     """Run one check by registry name with its parameters taken from cfg.
 
-    Every size is validated before the budget starts, so a bad size raises
-    InvalidInputError even under a zero budget."""
+    Every size and fault name is validated before the budget starts, so a
+    bad one raises InvalidInputError even under a zero budget."""
     if name not in _CHECKS:
         raise InvalidInputError(f"unknown check {name!r}")
     body, fields = _CHECKS[name]
     params: dict = {}
     for param, fld, least in fields:
-        value = getattr(cfg, fld)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidInputError(f"{fld} must be an int, got {value!r}")
-        if least is not None and value < least:
-            raise InvalidInputError(f"{fld} must be >= {least}, got {value}")
-        params[param] = value
+        params[param] = getattr(cfg, fld)
+        _check_int(params[param], fld, least)
     if name == "mirror" and params["margin"] < params["scan_len"]:
         raise InvalidInputError("margin must be at least the scanned length")
+    for fault in cfg.fault:
+        if fault not in _CHECKS:
+            raise InvalidInputError(f"fault lists unknown check {fault!r}")
     params["fault"] = name in cfg.fault
     run = _Run(name, params)
     try:
@@ -595,8 +595,7 @@ def run_all(
 
     The checks are pure Python and hold the GIL, so a thread pool only adds
     overhead.  `threads` must be an int >= 1 and is otherwise ignored."""
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise InvalidInputError(f"threads must be an int >= 1, got {threads!r}")
+    _check_int(threads, "threads", 1)
     selected = list(CHECK_NAMES) if names is None else list(names)
     for n in selected:
         if n not in CHECK_NAMES:

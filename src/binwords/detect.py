@@ -137,6 +137,16 @@ def _pack_key(cols: list[np.ndarray], width: int) -> np.ndarray:
     return sum(col << (i * width) for i, col in enumerate(cols))
 
 
+def _basis_arrays(k: int, m: int, size: int) -> tuple[dict, list[int], list]:
+    """Zeroed int64 columns of length size for every cumulative column the
+    order-m block basis reads, the letter columns in order, and the pairs."""
+    basis = _block_basis(k, m)
+    cums = {c: np.zeros(size, np.int64) for entry in basis for c in entry if c >= 0}
+    letters = [c for c, a, _ in basis if a < 0]
+    pairs = [entry for entry in basis if entry[1] >= 0]
+    return cums, letters, pairs
+
+
 def _pair_survivors(
     cums: dict[int, np.ndarray],
     pairs: list,
@@ -164,6 +174,21 @@ def _pair_survivors(
     return starts
 
 
+def _power_ends_at(key: np.ndarray, cums: dict, pairs: list, n: int, p: int) -> bool:
+    """Whether a p-power ends at position n, from the packed letter key and
+    the basis columns: stage 1 compares the blocks' key differences for
+    every period at once, reading each block boundary as a strided reversed
+    view; stage 2 is the scan's."""
+    # bounds[j - 1][t - 1] = key[n - j * t], the j-th boundary back for period t
+    bounds = [key[n - j :: -j][: n // p] for j in range(1, p + 1)]
+    first = key[n] - bounds[0]
+    valid = bounds[0] - bounds[1] == first
+    for j in range(1, p - 1):
+        valid &= bounds[j] - bounds[j + 1] == first
+    periods = np.flatnonzero(valid) + 1
+    return _pair_survivors(cums, pairs, n - p * periods, periods, p).size > 0
+
+
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
     """Period-major scan on the cumulative columns of the minimal block basis:
     stage 1 tests letter counts at every start through one packed int64 key
@@ -175,22 +200,18 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     n = len(wd)
     k = wd.alphabet.size
     letters = np.asarray(wd.letters, dtype=np.int64)
-    basis = _block_basis(k, m)
+    cums, letter_cols, pairs = _basis_arrays(k, m, n + 1)
     iwords = index_words(k, m)
     # cum[i] = count(prefix of length i, pattern); letter columns come first
     # in canonical order, so a pair's letter column is built before it
-    cums: dict[int, np.ndarray] = {}
-    for c in sorted({c for entry in basis for c in entry if c >= 0}):
+    for c in sorted(cums):
         x = iwords[c]
         hit = letters == x[-1]
-        col = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(hit if len(x) == 1 else cums[x[0]][:n] * hit, out=col[1:])
-        cums[c] = col
-    keys = [cums[c] for c, a, _ in basis if a < 0]
+        np.cumsum(hit if len(x) == 1 else cums[x[0]][:n] * hit, out=cums[c][1:])
+    keys = [cums[c] for c in letter_cols]
     if len(keys) > 1 and _key_fits(k, n):
         # n.bit_length() bits per count: block differences in [0, n] never borrow
         keys = [_pack_key(keys, n.bit_length())]
-    pairs = [entry for entry in basis if entry[1] >= 0]
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
         smax = n - p * t + 1

@@ -28,6 +28,7 @@ from .words import (
     Word,
     WordLike,
     _as_alphabet,
+    _check_int,
     _check_order,
     index_words,
     signature,
@@ -151,8 +152,7 @@ def fixed_point_prefix(f: Morphism, a: int, n: int) -> Word:
     consumed letter appends its image, and prolongability guarantees the
     buffer outruns the read head.
     """
-    if n < 0:
-        raise InvalidInputError(f"prefix length must be nonnegative, got {n}")
+    _check_int(n, "prefix length", 0)
     if not is_prolongable(f, a):
         raise NotProlongableError(f"morphism is not prolongable on letter {a}")
     if n == 0:
@@ -292,9 +292,11 @@ def lift_matrix(
     each column follows from sig(f(x)) minus the contributions of shorter
     patterns.  At order 2 the action is always exactly linear.  Higher
     orders are spot-checked on random words (default 10**4 trials) and a
-    mismatch raises NoLinearActionError.
+    mismatch raises NoLinearActionError.  validate_trials must be at least 1.
     """
     _check_order(m)
+    if validate_trials is not None:
+        _check_int(validate_trials, "validate_trials", 1)
     if f.is_erasing:
         raise InvalidInputError("lifting is not defined for erasing morphisms")
     k = f.alphabet.size

@@ -28,16 +28,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BinwordsError, Budget, BudgetExceededError, InvalidInputError
-from .words import (
-    Alphabet,
-    PrefixIndex,
-    Word,
-    _block_basis,
-    _check_order,
-    _check_power,
-)
-from .detect import _VECTOR_MAX_LEN, _key_fits, _pack_key, _pair_survivors, is_power_free
+from .errors import BinwordsError, Budget, BudgetExceededError
+from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
+from .detect import _VECTOR_MAX_LEN, _basis_arrays, _key_fits, _pack_key, _power_ends_at
+from .detect import is_power_free
 
 # depth, nodes, survivors at depth; a count weighs both by orbit, so they
 # include the renamings of every word walked, wherever those sort
@@ -108,70 +102,61 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def _power_ends_at_last(idx: PrefixIndex, p: int) -> bool:
-    n = len(idx)
-    for block in range(1, n // p + 1):
-        if idx.blocks_equivalent(n - p * block, block, p):
-            return True
-    return False
-
-
 # From this depth on the suffix test runs on numpy: per node, python costs
 # grow with the depth and numpy's stay flat (timings in CHANGES.md).
 _NUMPY_DEPTH = 192
 
 
-class _Mirror:
-    """numpy copies of a search index's basis columns and packed letter key.
+class _SearchWord(PrefixIndex):
+    """The search word: a PrefixIndex whose suffix test runs block tests
+    below depth `deep` and detect's numpy test from there on, on copies of
+    the basis columns and packed letter key allocated at cap + 1 entries.
+    Entries below `synced` match the index; _pop lowers it, so a regrown
+    word is never tested against stale entries."""
 
-    The arrays are allocated once at cap + 1; entries below `synced` match
-    the index.  Every pop of the index must go through pop(), which drops
-    `synced`, or a regrown word would be tested against stale entries.
-    """
-
-    def __init__(self, idx: PrefixIndex, cap: int) -> None:
-        basis = _block_basis(idx.alphabet.size, idx.order)
-        self.idx = idx
-        self.cols = {c: np.zeros(cap + 1, np.int64) for e in basis for c in e if c >= 0}
-        self.letters = [c for c, a, _ in basis if a < 0]
-        self.pairs = [e for e in basis if e[1] >= 0]
-        self.key = np.zeros(cap + 1, np.int64)
-        self.width = cap.bit_length()  # valid while _key_fits(k, cap)
+    def __init__(self, k: int, m: int, cap: int) -> None:
+        super().__init__(Word((), Alphabet(k)), m)
+        self.cap = cap
+        self.deep = _NUMPY_DEPTH
+        if m > 2 or cap >= _VECTOR_MAX_LEN or not _key_fits(k, cap):
+            self.deep = cap + 1
+        self.key: Optional[np.ndarray] = None
         self.synced = 0
 
-    def pop(self) -> None:
-        self.idx._pop()
-        self.synced = min(self.synced, len(self.idx) + 1)
+    def _pop(self) -> None:
+        # PrefixIndex._pop inlined: one Python call per pop on the hot path
+        for col in self._cols:
+            col.pop()
+        letters = self._letters
+        letters.pop()
+        if self.synced > len(letters):
+            self.synced = len(letters) + 1
 
     def power_ends_at_last(self, p: int) -> bool:
-        """_power_ends_at_last on the arrays: stage 1 compares the blocks'
-        key differences for every period at once, reading each block
-        boundary as a strided reversed view; stage 2 is the scan's."""
-        n = len(self.idx)
+        n = len(self._letters)
+        if n < self.deep:
+            for block in range(1, n // p + 1):
+                if self.blocks_equivalent(n - p * block, block, p):
+                    return True
+            return False
+        if self.key is None:
+            k, size = self.alphabet.size, self.cap + 1
+            self.cums, self.letter_cols, self.pairs = _basis_arrays(k, self.order, size)
+            self.key = np.zeros(size, np.int64)
         lo, hi = self.synced, n + 1
         if lo < hi:
-            for c, col in self.cols.items():
-                col[lo:hi] = self.idx._cols[c][lo:hi]
+            for c, col in self.cums.items():
+                col[lo:hi] = self._cols[c][lo:hi]
+            # cap.bit_length() bits per count, valid while _key_fits(k, cap)
             self.key[lo:hi] = _pack_key(
-                [self.cols[c][lo:hi] for c in self.letters], self.width
+                [self.cums[c][lo:hi] for c in self.letter_cols], self.cap.bit_length()
             )
             self.synced = hi
-        key = self.key
-        # bounds[j - 1][t - 1] = key[n - j * t], the j-th block boundary
-        # back from the end for period t
-        bounds = [key[n - j :: -j][: n // p] for j in range(1, p + 1)]
-        first = key[n] - bounds[0]
-        valid = bounds[0] - bounds[1] == first
-        for j in range(1, p - 1):
-            valid &= bounds[j] - bounds[j + 1] == first
-        periods = np.flatnonzero(valid) + 1
-        hits = _pair_survivors(self.cols, self.pairs, n - p * periods, periods, p)
-        return hits.size > 0
+        return _power_ends_at(self.key, self.cums, self.pairs, n, p)
 
 
 @dataclass
 class _DfsResult:
-    best_len: int
     best_word: tuple[int, ...]
     cap_word: Optional[tuple[int, ...]]
     counts: list[int]
@@ -193,12 +178,8 @@ def _dfs(
 ) -> _DfsResult:
     _check_order(m)
     _check_power(p)
-    if not isinstance(depth_cap, int) or isinstance(depth_cap, bool):
-        raise InvalidInputError(f"search depth cap must be an int, got {depth_cap!r}")
-    if depth_cap < 1:
-        raise InvalidInputError(f"search depth cap must be >= 1, got {depth_cap}")
-    alph = Alphabet(k)
-    idx = PrefixIndex(Word((), alph), m)
+    _check_int(depth_cap, "search depth cap", 1)
+    w = _SearchWord(k, m, depth_cap)
     budget = Budget("search", budget_ms, node_budget)
     # indexed by top = 1 + the largest letter so far: the letters to try
     # next, and the weight of a node with that top (its distinct letters,
@@ -211,13 +192,7 @@ def _dfs(
         weight = [0] + [
             perm(k - 1, u - 1) if symmetry else perm(k, u) for u in range(1, k + 1)
         ]
-    deep = _NUMPY_DEPTH
-    if m > 2 or depth_cap >= _VECTOR_MAX_LEN or not _key_fits(k, depth_cap):
-        deep = depth_cap + 1
-    mirror: Optional[_Mirror] = None
-    pop = idx._pop  # mirror.pop once there is a mirror
     counts = [0] * depth_cap
-    best_len = 0
     best_word: tuple[int, ...] = ()
     cap_word: Optional[tuple[int, ...]] = None
     aborted = False
@@ -235,20 +210,12 @@ def _dfs(
             except BudgetExceededError:
                 aborted = True
                 break
-            idx._push(a)
-            d = len(idx)
-            if d < deep:
-                dead = _power_ends_at_last(idx, p)
-            else:
-                if mirror is None:
-                    mirror = _Mirror(idx, depth_cap)
-                    pop = mirror.pop
-                dead = mirror.power_ends_at_last(p)
-            if not dead:
+            w._push(a)
+            d = len(w)
+            if not w.power_ends_at_last(p):
                 counts[d - 1] += weight[top]
-                if d > best_len:
-                    best_len = d
-                    best_word = tuple(idx._letters)
+                if d > len(best_word):
+                    best_word = tuple(w._letters)
                     if progress is not None:
                         progress(d, budget.units, counts[d - 1])
                 if d < depth_cap:
@@ -256,16 +223,16 @@ def _dfs(
                     tops.append(top)
                     continue
                 if stop_at_cap:
-                    cap_word = tuple(idx._letters)
+                    cap_word = tuple(w._letters)
                     break
         else:
             stack.pop()
             tops.pop()
             if not stack:
                 break
-        pop()  # the last letter was pruned, reached the cap or ran out of letters
+        w._pop()  # the last letter was pruned, reached the cap or ran out of letters
         stack[-1] += 1
-    return _DfsResult(best_len, best_word, cap_word, counts, budget.units, aborted)
+    return _DfsResult(best_word, cap_word, counts, budget.units, aborted)
 
 
 def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int) -> Word:
@@ -304,15 +271,11 @@ def longest_avoiding(
         budget_ms=budget_ms,
         progress=progress,
     )
+    outcome, letters = "maximal", res.best_word
     if res.aborted:
         outcome = "budget_abort"
-        length, letters = res.best_len, res.best_word
     elif res.cap_word is not None:
-        outcome = "cap_reached"
-        length, letters = cap, res.cap_word
-    else:
-        outcome = "maximal"
-        length, letters = res.best_len, res.best_word
+        outcome, letters = "cap_reached", res.cap_word
     witness = _verified_witness(letters, k, m, p)
     counts = list(res.counts)
     while counts and counts[-1] == 0:
@@ -323,7 +286,7 @@ def longest_avoiding(
         order=m,
         power=p,
         outcome=outcome,
-        max_length=length,
+        max_length=len(letters),
         witness=witness,
         cap=cap,
         counts=tuple(counts),

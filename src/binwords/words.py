@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedOrderError
 
@@ -162,9 +162,17 @@ def _check_order(m: int) -> None:
         raise UnsupportedOrderError(f"order {m} exceeds the cap {MAX_ORDER}")
 
 
+def _check_int(value: object, name: str, least: Optional[int] = None) -> None:
+    """The package's one rule for integer sizes: an int, not a bool, and at
+    least `least` when one is given; the message names the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_power(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise InvalidInputError(f"power must be an int >= 2, got {p!r}")
+    _check_int(p, "power", 2)
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +443,8 @@ class PrefixIndex:
         return Word(tuple(self._letters), self.alphabet)
 
     # _push/_pop are internal: the avoidance search grows and shrinks one
-    # index incrementally instead of rebuilding it per node.
+    # index incrementally instead of rebuilding it per node, through its
+    # subclass search._SearchWord, whose _pop also drops stale numpy copies.
     def _push(self, a: int) -> None:
         cols = self._cols
         for col in cols:

@@ -272,6 +272,15 @@ class TestParamsAndSizes:
         assert rep.passed
         assert rep.instances > 0
 
+    @pytest.mark.parametrize("budget_ms", [None, 0])
+    def test_unknown_fault_rejected_before_budget(self, budget_ms):
+        # a misspelt negative control would corrupt nothing and pass clean
+        cfg = small(fault=frozenset({"matrx"}), budget_ms=budget_ms)
+        with pytest.raises(InvalidInputError, match="matrx"):
+            run_check("matrix", cfg)
+        with pytest.raises(InvalidInputError, match="matrx"):
+            run_all(cfg, names=["erasure"])
+
     def test_margin_below_scan_len_rejected(self):
         with pytest.raises(InvalidInputError, match="margin"):
             run_check("mirror", small(mirror_scan_len=300, mirror_margin=299))

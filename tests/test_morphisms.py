@@ -20,6 +20,7 @@ from binwords import (
     lift_matrix,
     mirror_morphism,
     parse_morphism,
+    scan_fixed_point,
     signature,
     subword_count,
     word,
@@ -212,6 +213,14 @@ class TestProlongableAndFixedPoint:
         with pytest.raises(InvalidInputError):
             fixed_point_prefix(g(), 0, -1)
 
+    @pytest.mark.parametrize("n", [2.5, True, -1])
+    def test_prefix_length_must_be_a_nonnegative_int(self, n):
+        # True is a bool, not a length, and 2.5 cannot slice
+        with pytest.raises(InvalidInputError, match="prefix length"):
+            fixed_point_prefix(g(), 0, n)
+        with pytest.raises(InvalidInputError, match="prefix length"):
+            scan_fixed_point(g(), 0, n, 2, 2)
+
 
 class TestDecode:
     def test_prefix_code_detection(self):
@@ -342,6 +351,13 @@ class TestLiftMatrix:
         assert lifted.apply(signature(u, 3)).counts == signature(h()(u), 3).counts
         lifted4 = lift_matrix(h(), 4, validate_trials=100)
         assert len(lifted4.rows) == 30
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+    def test_validate_trials_must_be_a_positive_int(self, m, trials):
+        # below 1 trial the spot check the docstring promises would not run
+        with pytest.raises(InvalidInputError, match="validate_trials"):
+            lift_matrix(h(), m, validate_trials=trials)
 
     def test_erasing_morphism_rejected(self):
         with pytest.raises(InvalidInputError):

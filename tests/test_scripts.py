@@ -49,25 +49,40 @@ def test_growth_table_small_run():
     assert "length\tcount\n" in proc.stdout
 
 
-@pytest.mark.parametrize("args", [("--n-max", "0"), ("--family", "9,2,2")])
-def test_growth_table_bad_input_exit_two(args):
-    proc = run_script("growth_table.py", *args)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--n-max", "0"),
+        ("--family", "9,2,2"),
+        # a bad family or --n-max after a good family: no table is printed
+        ("--family", "3,2,2", "--family", "9,2,2", "--n-max", "5"),
+        ("--family", "3,2,2", "--family", "2,5,2", "--n-max", "5"),
+        ("--family", "3,2,2", "--family", "2,2,1", "--n-max", "5"),
+        ("--family", "3,2,2", "--n-max", "0"),
+    ],
+)
+def test_growth_table_bad_input_exit_two(tmp_path, args):
+    out_dir = tmp_path / "tables"
+    proc = run_script("growth_table.py", *args, "--out-dir", str(out_dir))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("growth_table: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert not out_dir.exists()
 
 
-def test_reproduce_results_bad_cap_exit_two(tmp_path):
-    proc = run_script(
-        "reproduce_results.py",
-        "--out", str(tmp_path / "out"),
-        "--scan-len", "300",
-        "--search-cap", "0",
-        "--skip-battery",
-    )
+@pytest.mark.parametrize(
+    "args", [("--scan-len", "300", "--search-cap", "0"), ("--scan-len", "-1")]
+)
+def test_reproduce_results_bad_input_exit_two(tmp_path, args):
+    # checked before the first stage: nothing printed, no artifact written
+    out = tmp_path / "out"
+    proc = run_script("reproduce_results.py", "--out", str(out), *args, "--skip-battery")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("reproduce_results: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_bench_unknown_parent_exit_two(tmp_path):

@@ -1,6 +1,7 @@
 """The two-stage vector kernel: its int64 bounds, and a differential test
 against the naive oracle with a negative control; then the same two
-stages at deep search nodes, against the search's python suffix test.
+stages at deep nodes of the search word (search._SearchWord), against
+its python block tests.
 
 Stage 1 compares the blocks' letter counts through one packed int64 key
 (letter columns one by one when the key would not fit); stage 2 tests the
@@ -109,14 +110,14 @@ def test_skipping_stage_two_is_caught(monkeypatch):
 
 # ---------------------------------------------------------------- deep search nodes
 
-MIRROR_CAP = 4 * MAX_LEN  # longest script: four segments
+SEARCH_WORD_CAP = 4 * MAX_LEN  # longest script: four segments
 
 
 @st.composite
 def regrown_words(draw):
     """A push/pop script over k <= 4 letters: a mutated g/h factor or a
     random word, then a few rounds of popping some letters (possibly below
-    the depth where the mirror takes over) and pushing new ones."""
+    the depth where numpy takes over) and pushing new ones."""
     if draw(st.booleans()):
         first, k = draw(mutated_factors())
     else:
@@ -137,26 +138,30 @@ def regrown_words(draw):
     st.sampled_from([2, 3, 4]),
     st.integers(0, MAX_LEN),
 )
-def test_mirror_suffix_test_matches_python(script, m, p, deep):
-    # replay the script as the search does: the mirror answers at depths
-    # >= deep only, and every pop goes through it
+def test_search_word_suffix_test_matches_python(script, m, p, deep):
+    # replay the script on two search words in lockstep, as the search
+    # does: one runs numpy at depths >= deep, the other python only
     k, segments = script
-    idx = PrefixIndex([], m, alphabet=k)
-    mirror = search._Mirror(idx, MIRROR_CAP)
+    words = [search._SearchWord(k, m, SEARCH_WORD_CAP) for _ in range(2)]
+    vector, python = words
+    vector.deep = deep
+    python.deep = SEARCH_WORD_CAP + 1
     for drop, grow in segments:
-        for _ in range(min(drop, len(idx))):
-            mirror.pop()
+        for _ in range(min(drop, len(vector))):
+            for w in words:
+                w._pop()
         for a in grow:
-            idx._push(a)
-            if len(idx) >= deep:
-                assert mirror.power_ends_at_last(p) == search._power_ends_at_last(idx, p)
+            for w in words:
+                w._push(a)
+            if len(vector) >= deep:
+                assert vector.power_ends_at_last(p) == python.power_ends_at_last(p)
 
 
-def test_mirror_without_stage_two_is_caught(monkeypatch):
+def test_search_word_without_stage_two_is_caught(monkeypatch):
     # negative control: order 2 decided by letter counts alone
-    monkeypatch.setattr(search, "_pair_survivors", lambda cums, pairs, starts, t, p: starts)
+    monkeypatch.setattr(detect, "_pair_survivors", lambda cums, pairs, starts, t, p: starts)
     with pytest.raises(AssertionError):
-        test_mirror_suffix_test_matches_python()
+        test_search_word_suffix_test_matches_python()
 
 
 SEARCH_CASES = [
