@@ -7,11 +7,12 @@ object with the end-to-end metrics.  The record gives, per workload, the
 seeds, every run's metrics, and the median and quartiles of each metric,
 plus the host (nproc, CPU model) and the Python and numpy versions.
 
-With --parent REV, REV is checked out by `git worktree add` in a temporary
-directory, and every seed runs once there and once in this checkout, the
-order alternating from pair to pair so that a drift of the host's speed
-does not favour one side.  Each pair then records, per metric, the ratio
-change / parent and the winner.  The worktree is removed afterwards.
+With --parent REV, the files of REV are unpacked by `git archive` into a
+temporary directory, and every seed runs once there and once in this
+checkout, the order alternating from pair to pair so that a drift of the
+host's speed does not favour one side.  Each pair then records, per
+metric, the ratio change / parent and the winner.  The directory is
+removed afterwards; the repository itself is not touched.
 
     python3 scripts/bench.py --seeds 401 402 403 --out BENCH.json
     python3 scripts/bench.py --parent HEAD~1 --workload search \\
@@ -99,18 +100,15 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
 
 
 @contextmanager
-def worktree(rev: str) -> Iterator[Path]:
-    """A checkout of rev in a temporary directory, removed on exit."""
+def checkout(rev: str) -> Iterator[Path]:
+    """The committed files of rev in a temporary directory, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
+        path, tar = Path(tmp) / "parent", Path(tmp) / "parent.tar"
+        path.mkdir()
+        subprocess.run(["git", "archive", "--output", str(tar), rev],
                        cwd=ROOT, check=True, capture_output=True)
-        try:
-            yield path
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        subprocess.run(["tar", "-xf", str(tar), "-C", str(path)], check=True, capture_output=True)
+        yield path
 
 
 def bench(workloads: list[str], seeds: list[int], seconds: float,
@@ -179,7 +177,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if parent is None:
         record = bench(workloads, args.seeds, args.seconds, None)
     else:
-        with worktree(parent) as path:
+        with checkout(parent) as path:
             record = bench(workloads, args.seeds, args.seconds, path)
         record["parent"] = parent
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -8,9 +8,10 @@ m = 1 case is abelian powers; one code path covers all of them.
 `find_power` reports the occurrence with minimal start, ties broken by
 minimal period, scanning candidates in that order.  Two engines share the
 semantics: a pure Python scan over PrefixIndex block tests, and a numpy
-scan (orders 1 and 2) that vectorizes each period over all starts.  At
-orders 1 and 2 both test the same minimal block basis (words._block_basis).
-Results are cross-verified by independent signature recomputation.
+scan (orders 1 and 2) that vectorizes each period over all starts and
+compares one packed int64 key per block (_key_plan).  At orders 1 and 2
+both test the minimal block basis (words._block_basis).  Results are
+cross-verified by independent signature recomputation.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from .words import (
     _block_basis,
     _check_order,
     _check_power,
-    index_words,
     signature,
     word,
 )
 
 _VECTOR_MIN_LEN = 64
-_VECTOR_MAX_LEN = 2**31  # int64 bounds below it: tests/test_vector.py
+# below it every _key_plan field fits one 62-bit key: tests/test_vector.py
+_VECTOR_MAX_LEN = 2**31
 
 
 @dataclass(frozen=True)
@@ -126,92 +127,95 @@ def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return None
 
 
-def _key_fits(k: int, n: int) -> bool:
-    """Whether k - 1 prefix letter counts of n.bit_length() bits each fit one int64."""
-    return (k - 1) * n.bit_length() <= 63
+def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, ...]]]:
+    """The int64 keys of the order-m block test on words of length <= n:
+    per key, its (column, a, b, offset, width) fields in basis order.
+
+    A letter entry (a = b = -1) packs the prefix count A_c, with block
+    differences in [0, n]; a pair a < b packs the signed D_ab =
+    |prefix|_ab - |prefix|_ba = 2 C_ab - A_a A_b, with block differences in
+    [-n*n // 4, n*n // 4].  A field has the bit length of the largest gap
+    between two block differences, n or n*n // 2, so equal key differences
+    mean equal fields.  Keys take at most 62 bits, so they and their
+    differences stay below 2**62 and 2**63 in absolute value (tests/test_vector.py).
+    """
+    plan: list[list[tuple[int, ...]]] = [[]]
+    used = 0
+    for c, a, b in _block_basis(k, m):
+        width = (n if a < 0 else n * n // 2).bit_length()
+        if used + width > 62:
+            plan.append([])
+            used = 0
+        plan[-1].append((c, a, b, used, width))
+        used += width
+    return plan
 
 
-def _pack_key(cols: list[np.ndarray], width: int) -> np.ndarray:
-    """sum of cols[i] << (i * width): letter columns packed into one int64
-    key, valid while _key_fits holds for the columns' length."""
-    return sum(col << (i * width) for i, col in enumerate(cols))
+def _write_keys(keys: np.ndarray, plan: list, k: int, cols: dict, pos) -> None:
+    """Write every key of the plan at pos, one position or an array of them,
+    from the basis columns there (cols[c]); the last letter's count is pos
+    minus the others.  A field adds value * 2**offset: D is signed."""
+    counts = [cols[a] for a in range(k - 1)]
+    counts.append(pos - sum(counts))
+    for key, group in zip(keys, plan):
+        key[pos] = sum(
+            (cols[c] if a < 0 else 2 * cols[c] - counts[a] * counts[b]) * (1 << offset)
+            for c, a, b, offset, _ in group
+        )
 
 
-def _basis_arrays(k: int, m: int, size: int) -> tuple[dict, list[int], list]:
-    """Zeroed int64 columns of length size for every cumulative column the
-    order-m block basis reads, the letter columns in order, and the pairs."""
-    basis = _block_basis(k, m)
-    cums = {c: np.zeros(size, np.int64) for entry in basis for c in entry if c >= 0}
-    letters = [c for c, a, _ in basis if a < 0]
-    pairs = [entry for entry in basis if entry[1] >= 0]
-    return cums, letters, pairs
-
-
-def _pair_survivors(
-    cums: dict[int, np.ndarray],
-    pairs: list,
-    starts: np.ndarray,
-    t: Union[int, np.ndarray],
-    p: int,
-) -> np.ndarray:
-    """The starts whose p blocks of length t agree on every pair entry; t is
-    one period for all starts or an array of one period per start.  The
-    starts are abelian survivors, so every block holds the first block's nb b's."""
-    for c, a, b in pairs:
+def _survivors(keys: np.ndarray, starts: np.ndarray, t, p: int) -> np.ndarray:
+    """The starts whose p blocks of length t have equal differences on
+    every key; t is one period for all starts or one period per start."""
+    for key in keys:
         if not starts.size:
             break
-        col, ca, cb = cums[c], cums[a], cums[b]
-        bounds = [starts + j * t for j in range(p + 1)]
-        ends = [col[x] for x in bounds]
-        nb = cb[bounds[1]] - cb[starts]
-        counts = [ends[j + 1] - ends[j] - ca[bounds[j]] * nb for j in range(p)]
-        keep = counts[1] == counts[0]
-        for other in counts[2:]:
-            keep &= other == counts[0]
+        ends = [key[starts + j * t] for j in range(p + 1)]
+        first = ends[1] - ends[0]
+        keep = ends[2] - ends[1] == first
+        for j in range(2, p):
+            keep &= ends[j + 1] - ends[j] == first
         starts = starts[keep]
         if isinstance(t, np.ndarray):
             t = t[keep]
     return starts
 
 
-def _power_ends_at(key: np.ndarray, cums: dict, pairs: list, n: int, p: int) -> bool:
-    """Whether a p-power ends at position n, from the packed letter key and
-    the basis columns: stage 1 compares the blocks' key differences for
-    every period at once, reading each block boundary as a strided reversed
-    view; stage 2 is the scan's."""
+def _power_ends_at(keys: np.ndarray, n: int, p: int) -> bool:
+    """Whether a p-power ends at position n: keys[0] is compared for every
+    period at once, reading each block boundary as a strided reversed view,
+    and the other keys on its survivors only."""
+    key = keys[0]
     # bounds[j - 1][t - 1] = key[n - j * t], the j-th boundary back for period t
     bounds = [key[n - j :: -j][: n // p] for j in range(1, p + 1)]
     first = key[n] - bounds[0]
     valid = bounds[0] - bounds[1] == first
     for j in range(1, p - 1):
         valid &= bounds[j] - bounds[j + 1] == first
-    periods = np.flatnonzero(valid) + 1
-    return _pair_survivors(cums, pairs, n - p * periods, periods, p).size > 0
+    periods = valid.nonzero()[0] + 1
+    return _survivors(keys[1:], n - p * periods, periods, p).size > 0
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
-    """Period-major scan on the cumulative columns of the minimal block basis:
-    stage 1 tests letter counts at every start through one packed int64 key
-    (each letter column when it would not fit), stage 2 the pair entries on
-    the abelian survivors only.  The winner in (start, period) order is kept
-    across periods; only strictly smaller starts can improve it, so the
-    scanned start range shrinks as hits accumulate.
+    """Period-major scan on the packed keys of _key_plan: keys[0] is
+    compared at every start, the other keys on its survivors only.  The
+    winner in (start, period) order is kept across periods; only strictly
+    smaller starts can improve it, so the scanned start range shrinks as
+    hits accumulate.
     """
     n = len(wd)
     k = wd.alphabet.size
     letters = np.asarray(wd.letters, dtype=np.int64)
-    cums, letter_cols, pairs = _basis_arrays(k, m, n + 1)
-    iwords = index_words(k, m)
-    # cum[i] = count(prefix of length i, pattern); letter columns come first
-    # in canonical order, so a pair's letter column is built before it
-    for c in sorted(cums):
-        x = iwords[c]
-        hit = letters == x[-1]
-        np.cumsum(hit if len(x) == 1 else cums[x[0]][:n] * hit, out=cums[c][1:])
-    keys = [cums[c] for c in letter_cols]
-    if len(keys) > 1 and _key_fits(k, n):
-        # n.bit_length() bits per count: block differences in [0, n] never borrow
-        keys = [_pack_key(keys, n.bit_length())]
+    cums: dict[int, np.ndarray] = {}
+    # cums[c][i] = count(prefix of length i, pattern c); letters come first
+    # in the basis, so a pair's letter column is built before it
+    for c, a, b in _block_basis(k, m):
+        col = cums[c] = np.zeros(n + 1, np.int64)
+        np.cumsum(letters == c if a < 0 else cums[a][:n] * (letters == b), out=col[1:])
+    plan = _key_plan(k, m, n)
+    keys = np.empty((len(plan), n + 1), np.int64)
+    _write_keys(keys, plan, k, cums, np.arange(n + 1))
+    key = keys[0]
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
         smax = n - p * t + 1
@@ -220,15 +224,12 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         if smax <= 0:
             break
         budget.tick(smax)
-        valid = np.ones(smax, dtype=bool)
-        for key in keys:
-            counts = key[t : p * t + smax] - key[: (p - 1) * t + smax]
-            base = counts[:smax]
-            for j in range(1, p):
-                valid &= counts[j * t : j * t + smax] == base
-            if not valid.any():
-                break
-        hits = _pair_survivors(cums, pairs, np.flatnonzero(valid), t, p)
+        counts = key[t : p * t + smax] - key[: (p - 1) * t + smax]
+        base = counts[:smax]
+        valid = counts[t : t + smax] == base
+        for j in range(2, p):
+            valid &= counts[j * t : j * t + smax] == base
+        hits = _survivors(keys[1:], valid.nonzero()[0], t, p)
         if hits.size:
             # smax <= best[0], so any hit improves the winner
             best = (int(hits[0]), t)

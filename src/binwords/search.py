@@ -7,7 +7,7 @@ complete: a word contains a power iff some prefix contains one ending at
 its own last position.  Signatures are maintained incrementally by one
 PrefixIndex that grows and shrinks with the search word, so each pruning
 test costs O(length / p) block comparisons with O(1) work per component;
-from depth _NUMPY_DEPTH on it runs on numpy copies of the index.
+deeper down it runs detect's packed-key test on int64 keys of the index.
 
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BinwordsError, Budget, BudgetExceededError
 from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
-from .detect import _VECTOR_MAX_LEN, _basis_arrays, _key_fits, _pack_key, _power_ends_at
+from .detect import _VECTOR_MAX_LEN, _key_plan, _power_ends_at, _write_keys
 from .detect import is_power_free
 
 # depth, nodes, survivors at depth; a count weighs both by orbit, so they
@@ -109,19 +109,21 @@ _NUMPY_DEPTH = 192
 
 class _SearchWord(PrefixIndex):
     """The search word: a PrefixIndex whose suffix test runs block tests
-    below depth `deep` and detect's numpy test from there on, on copies of
-    the basis columns and packed letter key allocated at cap + 1 entries.
+    below depth `deep` and detect's numpy test from there on, on the
+    packed keys of detect._key_plan at cap, allocated at cap + 1 entries.
     Entries below `synced` match the index; _pop lowers it, so a regrown
     word is never tested against stale entries."""
 
     def __init__(self, k: int, m: int, cap: int) -> None:
         super().__init__(Word((), Alphabet(k)), m)
-        self.cap = cap
-        self.deep = _NUMPY_DEPTH
-        if m > 2 or cap >= _VECTOR_MAX_LEN or not _key_fits(k, cap):
-            self.deep = cap + 1
-        self.key: Optional[np.ndarray] = None
+        self.deep = cap + 1
         self.synced = 0
+        if m <= 2 and cap < _VECTOR_MAX_LEN:
+            # keys past the first cost a gather each on its survivors, so with
+            # 8 or more keys numpy pays off only deeper (sweep in CHANGES.md)
+            self.plan = _key_plan(k, m, cap)
+            self.deep = _NUMPY_DEPTH * min(3, max(1, (len(self.plan) - 2) // 3))
+            self.keys = np.zeros((len(self.plan), cap + 1), np.int64)
 
     def _pop(self) -> None:
         # PrefixIndex._pop inlined: one Python call per pop on the hot path
@@ -139,20 +141,11 @@ class _SearchWord(PrefixIndex):
                 if self.blocks_equivalent(n - p * block, block, p):
                     return True
             return False
-        if self.key is None:
-            k, size = self.alphabet.size, self.cap + 1
-            self.cums, self.letter_cols, self.pairs = _basis_arrays(k, self.order, size)
-            self.key = np.zeros(size, np.int64)
-        lo, hi = self.synced, n + 1
-        if lo < hi:
-            for c, col in self.cums.items():
-                col[lo:hi] = self._cols[c][lo:hi]
-            # cap.bit_length() bits per count, valid while _key_fits(k, cap)
-            self.key[lo:hi] = _pack_key(
-                [self.cums[c][lo:hi] for c in self.letter_cols], self.cap.bit_length()
-            )
-            self.synced = hi
-        return _power_ends_at(self.key, self.cums, self.pairs, n, p)
+        cols, k = self._cols, self.alphabet.size
+        for i in range(self.synced, n + 1):
+            _write_keys(self.keys, self.plan, k, {c: cols[c][i] for c, _, _ in self._basis}, i)
+        self.synced = n + 1
+        return _power_ends_at(self.keys, n, p)
 
 
 @dataclass

@@ -229,6 +229,12 @@ def _block_basis(k: int, m: int) -> tuple[tuple[int, int, int], ...]:
     They are complete for blocks of one length L: the last letter's count
     is L minus the others, count(aa) = C(|u|_a, 2), and
     count(ba) = |u|_a |u|_b - count(ab).
+
+    The numpy engine reads a pair as D_ab = 2 cum_ab - cum_a cum_b instead
+    (detect._key_plan).  Over [s, e) its difference is
+    2 count(ab) - |u|_a |u|_b + cum_a[s] |u|_b - cum_b[s] |u|_a, and the
+    last two terms are the same for consecutive blocks with equal letter
+    counts, so equal D differences mean equal count(ab).
     """
     entries = [(a, -1, -1) for a in range(k - 1)]
     if m == 2:

@@ -1,22 +1,27 @@
 """The minimal order-1/order-2 block basis, in both of its consumers.
 
 PrefixIndex.blocks_equivalent (the python engine and the search) and the
-vector engine both read words._block_basis.  A power-free verdict rests on
-that basis being complete, so it is checked against the naive oracles, on
-planted powers at the last legal start with the longest period, and by a
-negative control that drops one basis entry.
+vector engine both read words._block_basis, the vector engine with each
+pair entry as the antisymmetric count D_ab = |prefix|_ab - |prefix|_ba.
+A power-free verdict rests on that basis being complete, so it is checked
+against the naive oracles, on planted powers at the last legal start with
+the longest period, and by a negative control that drops one pair entry;
+the identity that lets D stand for count(ab) is checked exhaustively on
+short words, with a control that tests the plain pair count instead.
 """
 
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import binwords.detect as detect
 import binwords.words as words
 from binwords import PrefixIndex, find_power, word
 
-from oracles import naive_equivalent, naive_find_power
+from oracles import naive_equivalent, naive_find_power, naive_subword_count
 
 ENGINES = ("python", "vector")
 
@@ -74,7 +79,11 @@ def test_dropping_a_pair_entry_is_caught(monkeypatch):
         return basis[:-1] if m == 2 and k > 1 else basis  # the last entry is a pair
 
     monkeypatch.setattr(words, "_block_basis", weakened)
-    monkeypatch.setattr(detect, "_block_basis", weakened)
+    # the vector engine packs pair entries as D fields; at k = 2 the only
+    # pair is the last entry, so it drops the D fields
+    plan = detect._key_plan
+    letters_only = lambda k, m, n: [[f for f in g if f[1] < 0] for g in plan(k, m, n)]
+    monkeypatch.setattr(detect, "_key_plan", letters_only)
     # find_power's recomputation would reject the false hits first; switch it
     # off so that the differential test alone has to catch them
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
@@ -113,3 +122,50 @@ def test_readme_pair_found_at_order_two(engine):
     assert PrefixIndex(README_PAIR, 2).blocks_equivalent(s, 7, 2)
     occ = find_power(README_PAIR, 2, 2, engine=engine)
     assert (occ.start, occ.period) == naive_find_power(word(README_PAIR), 2, 2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_identity_mismatches(k=3, n_max=8, seed=10):
+    """Over every pair (u, v) of equal-Parikh words of one length <= n_max
+    over k letters (binary words are among the ternary ones), placed as
+    x u v after a random prefix x: for each pair of letters a < b, how
+    often "u and v have equal block differences of the column" disagrees
+    with "u and v have equal oracle count(ab)", for
+    D_ab = |prefix|_ab - |prefix|_ba and for C_ab = |prefix|_ab alone."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(k), 2))
+    bad = {"D": 0, "C": 0}
+    for n in range(1, n_max + 1):
+        w = np.array(list(itertools.product(range(k), repeat=n)), np.int16).T
+        count = np.array([[naive_subword_count(u, ab) for u in w.T.tolist()] for ab in pairs])
+        _, cls = np.unique([(w == a).sum(0) for a in range(k)], axis=1, return_inverse=True)
+        for c in range(cls.max() + 1):
+            members = np.flatnonzero(cls == c)
+            step = max(1, 2**16 // len(members))
+            for lo in range(0, len(members), step):
+                u = np.repeat(members[lo : lo + step], len(members))
+                v = np.tile(members, len(u) // len(members))
+                x = rng.integers(0, k, (int(rng.integers(0, 7)), len(u)), dtype=np.int16)
+                hit = np.concatenate([x, w[:, u], w[:, v]]) == np.arange(k)[:, None, None]
+                # letters before each position of the two blocks, prefix included
+                before = (np.cumsum(hit, axis=1, dtype=np.int16) - hit)[:, len(x) :]
+                hit = hit[:, len(x) :]
+                for i, (a, b) in enumerate(pairs):
+                    same = count[i, u] == count[i, v]
+                    ab = before[a] * hit[b]  # per position: the ab occurrences it ends
+                    for name, terms in (("D", ab - before[b] * hit[a]), ("C", ab)):
+                        equal = terms[:n].sum(0) == terms[n:].sum(0)
+                        bad[name] += int((equal != same).sum())
+    return bad
+
+
+def test_d_differences_decide_pair_counts():
+    # consecutive equal-Parikh blocks have equal D_ab differences iff they
+    # have equal count(ab): the identity behind the vector engine's keys
+    assert pair_identity_mismatches()["D"] == 0
+
+
+def test_c_differences_alone_are_caught():
+    # control: C_ab block differences carry cum_a[s] * |u|_b, which grows
+    # from one block to the next, so the same check must fail for them
+    assert pair_identity_mismatches()["C"] > 0

@@ -1,14 +1,20 @@
-"""The two-stage vector kernel: its int64 bounds, and a differential test
-against the naive oracle with a negative control; then the same two
-stages at deep nodes of the search word (search._SearchWord), against
-its python block tests.
+"""The packed-key vector kernel: its int64 bounds as code, a differential
+test against the naive oracle with a negative control; then the same key
+test at deep nodes of the search word (search._SearchWord), against its
+python block tests.
 
-Stage 1 compares the blocks' letter counts through one packed int64 key
-(letter columns one by one when the key would not fit); stage 2 tests the
-pair counts on the abelian survivors only.  Words are drawn from factors
-of the g and h fixed points, which are free of 2-binomial squares and
-cubes, so abelian survivors exist and occurrences, if any, sit late.
+detect._key_plan packs the prefix counts of letters 0..k-2 and, at order
+2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of each
+pair a < b into int64 keys.  Consecutive blocks with equal letter counts
+have equal D differences iff they have equal count(ab), so p blocks are
+equivalent iff their key differences agree: one equal-differences test
+for orders 1 and 2.  The first key is compared at every start, the
+others on its survivors only.  Words are drawn from factors of the g and
+h fixed points, which are free of 2-binomial squares and cubes, so
+abelian survivors exist and occurrences, if any, sit late.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,51 +22,155 @@ from hypothesis import given, settings, strategies as st
 
 import binwords.detect as detect
 import binwords.search as search
+import binwords.words as words
 from binwords import PRESETS, PrefixIndex, find_power, fixed_point_prefix, longest_avoiding
 
-from oracles import naive_find_power
+from oracles import naive_equivalent, naive_find_power
 
 INT64_LIMIT = 2**63
+BOUND_LENGTHS = [1, 2, 3, 7, 100, 511, 512, 20000, detect._VECTOR_MAX_LEN - 1]
 
 
-def packed_key_max(k, n):
-    """The largest packed key of a length-n word over k letters, in plain ints."""
-    w = n.bit_length()
-    return sum(n << (i * w) for i in range(k - 1))
+def d_bound(n):
+    """The largest |D_ab| block difference on words of length n: it counts,
+    with signs, pairs of one a and one b among at most n positions, of which
+    there are at most n*n // 4 (test_d_block_differences_stay_in_their_window)."""
+    return n * n // 4
+
+
+def field_bounds(n, a):
+    """(largest |value|, largest |block difference|, largest gap between two
+    block differences) of a field on words of length n, in plain ints."""
+    if a < 0:
+        return n, n, n
+    return d_bound(n), d_bound(n), 2 * d_bound(n)
+
+
+def unpack(key, group):
+    """The fields of one key, lowest first; D fields are signed."""
+    out = []
+    for _, a, _, _, width in group:
+        low = key % (1 << width)
+        if a >= 0 and low >= 1 << (width - 1):
+            low -= 1 << width
+        out.append(low)
+        key = (key - low) >> width
+    assert key == 0
+    return out
+
+
+def check_plan(k, m, n):
+    plan = detect._key_plan(k, m, n)
+    assert [f[:3] for group in plan for f in group] == list(words._block_basis(k, m))
+    for group in plan:
+        offset = key_max = diff_max = 0
+        for _, a, _, field_offset, width in group:
+            value, diff, gap = field_bounds(n, a)
+            assert field_offset == offset
+            assert gap < 1 << width
+            key_max += value << offset
+            diff_max += diff << offset
+            offset += width
+        assert offset <= 62
+        assert key_max < INT64_LIMIT and diff_max < INT64_LIMIT
+
+
+def extremes(k, n):
+    """Plain-int basis columns at position n of a^h b^(n-h) and b^(n-h) a^h
+    for each pair a < b, which put D_ab at +-(n*n // 4), and of c^n."""
+    h = n // 2
+    pos = words._index_positions(k, 2)
+    cases = []
+    for a, b in itertools.combinations(range(k), 2):
+        for c_ab in (h * (n - h), 0):
+            cols = dict.fromkeys(range(k * k + k), 0)
+            cols[a], cols[b] = h, n - h
+            cols[pos[(a, b)]] = c_ab
+            cases.append((cols, {(a, b): 2 * c_ab - h * (n - h)}))
+    for c in range(k):
+        cols = dict.fromkeys(range(k * k + k), 0)
+        cols[c] = n
+        cases.append((cols, {}))
+    return cases
+
+
+def check_round_trip(k, n):
+    plan = detect._key_plan(k, 2, n)
+    for cols, d_values in extremes(k, n):
+        keys = [{} for _ in plan]
+        detect._write_keys(keys, plan, k, cols, n)
+        for key, group in zip(keys, plan):
+            np.int64(key[n])  # raises OverflowError outside int64
+            want = [cols[c] if a < 0 else d_values.get((a, b), 0) for c, a, b, _, _ in group]
+            assert unpack(key[n], group) == want
 
 
 class TestPackingBound:
-    # the longest word whose key packs, per alphabet size: 63 // (k - 1) bits per count
-    @pytest.mark.parametrize(
-        "k,edge",
-        [(2, 2**63 - 1), (3, 2**31 - 1), (4, 2**21 - 1), (5, 32767), (6, 4095), (7, 1023), (8, 511)],
-    )
-    def test_key_fits_exactly_up_to_its_edge(self, k, edge):
-        assert detect._key_fits(k, edge)
-        assert not detect._key_fits(k, edge + 1)
-        assert packed_key_max(k, edge) < INT64_LIMIT
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_plan_fields_fit_their_widths(self, k):
+        for n in BOUND_LENGTHS:
+            for m in (1, 2):
+                check_plan(k, m, n)
 
     def test_vector_max_len_stays_in_int64(self):
+        # below _VECTOR_MAX_LEN every field fits one key on its own
         n = detect._VECTOR_MAX_LEN - 1
-        # the k = 2 key is the letter column itself
-        assert detect._key_fits(2, n) and packed_key_max(2, n) < INT64_LIMIT
-        # a pair column holds at most C(n, 2), and the cross term is ca * nb
-        assert n * n < INT64_LIMIT
+        assert (n * n // 2).bit_length() <= 62
+        for k in range(1, 9):
+            check_plan(k, 2, n)
+        check_round_trip(2, n)
 
     @pytest.mark.parametrize("k,n", [(3, 100), (8, 511)])
     def test_pack_key_fields_round_trip(self, k, n):
-        # counts span [0, n], so each field needs all n.bit_length() bits
-        w = n.bit_length()
-        cols = [np.array([0, n, (37 * i) % (n + 1)], dtype=np.int64) for i in range(k - 1)]
-        key = detect._pack_key(cols, w)
-        for i, col in enumerate(cols):
-            assert ((key >> (i * w)) & ((1 << w) - 1)).tolist() == col.tolist()
-        assert int(key[1]) == packed_key_max(k, n)
+        # D at +-(n*n // 4) sits next to letter counts at n in every key
+        check_round_trip(k, n)
+
+    def test_narrower_d_field_is_caught(self, monkeypatch):
+        # mutant: every D field one bit narrower, later offsets moved down
+        original = detect._key_plan
+
+        def narrowed(k, m, n):
+            plan = []
+            for group in original(k, m, n):
+                offset, fields = 0, []
+                for c, a, b, _, width in group:
+                    width -= a >= 0
+                    fields.append((c, a, b, offset, width))
+                    offset += width
+                plan.append(fields)
+            return plan
+
+        monkeypatch.setattr(detect, "_key_plan", narrowed)
+        with pytest.raises(AssertionError):
+            check_plan(3, 2, 100)
+        with pytest.raises(AssertionError):
+            check_round_trip(3, 100)
+
+    def test_d_block_differences_stay_in_their_window(self):
+        # D_ab = |prefix|_ab - |prefix|_ba straight from its definition, on
+        # every ternary word of length 8: each block difference over [s, e)
+        # lies in [-e*e // 4, e*e // 4], and 0^4 1^4 reaches 16 = 8*8 // 4
+        w = np.array(list(itertools.product(range(3), repeat=8)))
+        counts = np.zeros((len(w), 9, 3), np.int64)
+        counts[:, 1:] = np.cumsum(w[:, :, None] == np.arange(3), axis=1)
+
+        def pairs(a, b):  # |prefix|_ab for every prefix
+            out = np.zeros((len(w), 9), np.int64)
+            out[:, 1:] = np.cumsum(counts[:, :-1, a] * (w == b), axis=1)
+            return out
+
+        bound = np.arange(9) ** 2 // 4
+        for a, b in itertools.combinations(range(3), 2):
+            d = pairs(a, b) - pairs(b, a)
+            diff = np.abs(d[:, None, :] - d[:, :, None])  # [., s, e]
+            assert (np.triu(diff) <= bound).all()
+            assert diff.max() == d_bound(8) == d[w.tolist().index([a] * 4 + [b] * 4), 8]
 
     @pytest.mark.parametrize("n", [511, 512])
     def test_scan_on_both_sides_of_the_k8_edge(self, n):
         # a g factor renamed onto the top letters 5, 6, 7, then the
-        # 2-binomial square 6776 7667 over the key's highest field
+        # 2-binomial square 6776 7667: letter 6 does not fit the first key
+        # at n = 511 (7 fields of 9 bits), and its pairs sit in later keys
         g = fixed_point_prefix(PRESETS["g"].morphism, 0, n - 8).letters
         letters = [5 + a for a in g] + [6, 7, 7, 6, 7, 6, 6, 7]
         vector = find_power(letters, 2, 2, alphabet=8, engine="vector")
@@ -98,14 +208,45 @@ def test_vector_kernel_matches_oracle(case, m, p):
     assert got == naive_find_power(letters, m, p, k)
 
 
+def ends_with_power(letters, m, p, k):
+    """Whether p equivalent blocks end at the last letter, by the oracle."""
+    n = len(letters)
+    for t in range(1, n // p + 1):
+        blocks = [letters[n - j * t : n - (j - 1) * t] for j in range(1, p + 1)]
+        if all(naive_equivalent(blocks[0], b, m, k) for b in blocks[1:]):
+            return True
+    return False
+
+
+def letters_only(k, m, n, plan=detect._key_plan):
+    """The key plan without its D fields: order 2 decided by letter counts."""
+    return [[f for f in group if f[1] < 0] for group in plan(k, m, n)]
+
+
 def test_skipping_stage_two_is_caught(monkeypatch):
-    # negative control: with the pair test skipped, order 2 falls back to
-    # abelian equivalence; switch off find_power's recomputation too, which
-    # would otherwise reject the false hits before the oracle sees them
-    monkeypatch.setattr(detect, "_pair_survivors", lambda cums, pairs, hits, t, p: hits)
+    # negative control: without the D fields, order 2 falls back to abelian
+    # equivalence; switch off find_power's recomputation too, which would
+    # otherwise reject the false hits before the oracle sees them
+    monkeypatch.setattr(detect, "_key_plan", letters_only)
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_one_letter_words(m, p):
+    # k = 1 has an empty plan: one all-zero key, so every block matches
+    for n in range(1, 12):
+        letters = [0] * n
+        occ = find_power(letters, m, p, alphabet=1, engine="vector")
+        got = None if occ is None else (occ.start, occ.period)
+        assert got == naive_find_power(letters, m, p, 1)
+    w = search._SearchWord(1, m, 16)
+    w.deep = 0
+    for n in range(1, 17):
+        w._push(0)
+        assert w.power_ends_at_last(p) == ends_with_power([0] * n, m, p, 1)
 
 
 # ---------------------------------------------------------------- deep search nodes
@@ -159,9 +300,21 @@ def test_search_word_suffix_test_matches_python(script, m, p, deep):
 
 def test_search_word_without_stage_two_is_caught(monkeypatch):
     # negative control: order 2 decided by letter counts alone
-    monkeypatch.setattr(detect, "_pair_survivors", lambda cums, pairs, starts, t, p: starts)
+    monkeypatch.setattr(search, "_key_plan", letters_only)
     with pytest.raises(AssertionError):
         test_search_word_suffix_test_matches_python()
+
+
+@pytest.mark.parametrize(
+    "k,m,cap,keys,deep",
+    [(2, 2, 2000, 1, 192), (3, 2, 2000, 2, 192), (3, 1, 2000, 1, 192), (6, 2, 500, 6, 192),
+     (7, 2, 500, 8, 384), (8, 2, 500, 11, 576), (8, 2, 2000, 16, 576), (3, 3, 2000, None, 2001)],
+)
+def test_numpy_depth_follows_the_key_count(k, m, cap, keys, deep):
+    # each key past the first costs a gather per node, so numpy starts
+    # deeper when there are 8 or more; k = 2, 3 keep depth 192
+    w = search._SearchWord(k, m, cap)
+    assert (len(w.plan) if m <= 2 else None, w.deep) == (keys, deep)
 
 
 SEARCH_CASES = [
