@@ -8,9 +8,9 @@ m = 1 case is abelian powers; one code path covers all of them.
 `find_power` reports the occurrence with minimal start, ties broken by
 minimal period, scanning candidates in that order.  Two engines share the
 semantics: a pure Python scan over PrefixIndex block tests, and a numpy
-scan (orders 1 and 2) that vectorizes each period over all starts and
-compares one packed int64 key per block (_key_plan).  At orders 1 and 2
-both test the minimal block basis (words._block_basis).  Results are
+scan (orders 1 and 2) that vectorizes each period over all starts.  At
+orders 1 and 2 both compare differences of the packed keys of
+words._key_plan, the numpy scan as int64 keys (_scan_keys).  Results are
 cross-verified by independent signature recomputation.
 """
 
@@ -29,9 +29,9 @@ from .words import (
     PrefixIndex,
     Word,
     WordLike,
-    _block_basis,
     _check_order,
     _check_power,
+    _key_plan,
     signature,
     word,
 )
@@ -127,41 +127,22 @@ def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return None
 
 
-def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, ...]]]:
-    """The int64 keys of the order-m block test on words of length <= n:
-    per key, its (column, a, b, offset, width) fields in basis order.
-
-    A letter entry (a = b = -1) packs the prefix count A_c, with block
-    differences in [0, n]; a pair a < b packs the signed D_ab =
-    |prefix|_ab - |prefix|_ba = 2 C_ab - A_a A_b, with block differences in
-    [-n*n // 4, n*n // 4].  A field has the bit length of the largest gap
-    between two block differences, n or n*n // 2, so equal key differences
-    mean equal fields.  Keys take at most 62 bits, so they and their
-    differences stay below 2**62 and 2**63 in absolute value (tests/test_vector.py).
-    """
-    plan: list[list[tuple[int, ...]]] = [[]]
-    used = 0
-    for c, a, b in _block_basis(k, m):
-        width = (n if a < 0 else n * n // 2).bit_length()
-        if used + width > 62:
-            plan.append([])
-            used = 0
-        plan[-1].append((c, a, b, used, width))
-        used += width
-    return plan
-
-
-def _write_keys(keys: np.ndarray, plan: list, k: int, cols: dict, pos) -> None:
-    """Write every key of the plan at pos, one position or an array of them,
-    from the basis columns there (cols[c]); the last letter's count is pos
-    minus the others.  A field adds value * 2**offset: D is signed."""
-    counts = [cols[a] for a in range(k - 1)]
-    counts.append(pos - sum(counts))
-    for key, group in zip(keys, plan):
-        key[pos] = sum(
-            (cols[c] if a < 0 else 2 * cols[c] - counts[a] * counts[b]) * (1 << offset)
-            for c, a, b, offset, _ in group
-        )
+def _scan_keys(wd: Word, m: int) -> np.ndarray:
+    """The int64 keys of words._key_plan at every prefix of wd, D fields
+    signed: each key is the cumulative sum of what each letter adds to it."""
+    n, k = len(wd), wd.alphabet.size
+    hits = np.asarray(wd.letters, dtype=np.int64) == np.arange(k)[:, None]
+    counts = np.zeros((k, n + 1), np.int64)
+    np.cumsum(hits, axis=1, out=counts[:, 1:])
+    plan = _key_plan(k, m, n)
+    keys = np.zeros((len(plan), n + 1), np.int64)
+    for key, fields in zip(keys, plan):
+        grow = np.zeros(n, np.int64)
+        for a, b, offset, _ in fields:
+            field = hits[a] if b < 0 else counts[a, :n] * hits[b] - counts[b, :n] * hits[a]
+            grow += field * (1 << offset)
+        np.cumsum(grow, out=key[1:])
+    return keys
 
 
 def _survivors(keys: np.ndarray, starts: np.ndarray, t, p: int) -> np.ndarray:
@@ -204,17 +185,7 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     hits accumulate.
     """
     n = len(wd)
-    k = wd.alphabet.size
-    letters = np.asarray(wd.letters, dtype=np.int64)
-    cums: dict[int, np.ndarray] = {}
-    # cums[c][i] = count(prefix of length i, pattern c); letters come first
-    # in the basis, so a pair's letter column is built before it
-    for c, a, b in _block_basis(k, m):
-        col = cums[c] = np.zeros(n + 1, np.int64)
-        np.cumsum(letters == c if a < 0 else cums[a][:n] * (letters == b), out=col[1:])
-    plan = _key_plan(k, m, n)
-    keys = np.empty((len(plan), n + 1), np.int64)
-    _write_keys(keys, plan, k, cums, np.arange(n + 1))
+    keys = _scan_keys(wd, m)
     key = keys[0]
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):

@@ -6,8 +6,8 @@ the freshly appended letter.  That suffix-anchored test is sound and
 complete: a word contains a power iff some prefix contains one ending at
 its own last position.  Signatures are maintained incrementally by one
 PrefixIndex that grows and shrinks with the search word, so each pruning
-test costs O(length / p) block comparisons with O(1) work per component;
-deeper down it runs detect's packed-key test on int64 keys of the index.
+test costs O(length / p) block comparisons, one packed prefix key each
+at orders 1 and 2; deeper down detect's numpy test reads int64 slices.
 
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import BinwordsError, Budget, BudgetExceededError
 from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
-from .detect import _VECTOR_MAX_LEN, _key_plan, _power_ends_at, _write_keys
+from .words import _key_plan, _split_key
+from .detect import _VECTOR_MAX_LEN, _power_ends_at
 from .detect import is_power_free
 
 # depth, nodes, survivors at depth; a count weighs both by orbit, so they
@@ -108,43 +109,33 @@ _NUMPY_DEPTH = 192
 
 
 class _SearchWord(PrefixIndex):
-    """The search word: a PrefixIndex whose suffix test runs block tests
-    below depth `deep` and detect's numpy test from there on, on the
-    packed keys of detect._key_plan at cap, allocated at cap + 1 entries.
-    Entries below `synced` match the index; _pop lowers it, so a regrown
-    word is never tested against stale entries."""
+    """The search word: a PrefixIndex with keys planned for cap, whose
+    suffix test runs block tests below depth `deep` and detect's numpy test
+    from there on.  If that depth is within the cap, each prefix key it
+    writes is also split into int64 keys (words._split_key) in an array of
+    cap + 1 entries, so entries past the keys _pop trimmed are rewritten."""
 
     def __init__(self, k: int, m: int, cap: int) -> None:
         super().__init__(Word((), Alphabet(k)), m)
+        self._bound = min(cap, _VECTOR_MAX_LEN - 1)
         self.deep = cap + 1
-        self.synced = 0
         if m <= 2 and cap < _VECTOR_MAX_LEN:
-            # keys past the first cost a gather each on its survivors, so with
-            # 8 or more keys numpy pays off only deeper (sweep in CHANGES.md)
-            self.plan = _key_plan(k, m, cap)
-            self.deep = _NUMPY_DEPTH * min(3, max(1, (len(self.plan) - 2) // 3))
-            self.keys = np.zeros((len(self.plan), cap + 1), np.int64)
-
-    def _pop(self) -> None:
-        # PrefixIndex._pop inlined: one Python call per pop on the hot path
-        for col in self._cols:
-            col.pop()
-        letters = self._letters
-        letters.pop()
-        if self.synced > len(letters):
-            self.synced = len(letters) + 1
+            self.deep = _NUMPY_DEPTH
+            self.keys = np.zeros((len(_key_plan(k, m, cap)), cap + 1), np.int64)
 
     def power_ends_at_last(self, p: int) -> bool:
         n = len(self._letters)
+        if self.order <= 2:
+            start = len(self._keys)
+            self._sync_keys()
+            if self.deep <= self._bound:
+                for i in range(start, n + 1):
+                    self.keys[:, i] = _split_key(self._keys[i], len(self.keys))
         if n < self.deep:
             for block in range(1, n // p + 1):
                 if self.blocks_equivalent(n - p * block, block, p):
                     return True
             return False
-        cols, k = self._cols, self.alphabet.size
-        for i in range(self.synced, n + 1):
-            _write_keys(self.keys, self.plan, k, {c: cols[c][i] for c, _, _ in self._basis}, i)
-        self.synced = n + 1
         return _power_ends_at(self.keys, n, p)
 
 

@@ -9,7 +9,8 @@ signature of u (the extended Parikh vector when m = 2); two words are
 m-binomially equivalent when their signatures agree.  Order 1 is abelian
 equivalence, and each order refines the one below.
 
-All arithmetic is exact Python integer arithmetic on immutable values.
+All arithmetic is exact Python integer arithmetic on immutable values; at
+orders 1 and 2 a PrefixIndex packs each prefix into one key (_key_plan).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import InvalidInputError, UnsupportedOrderError
 
 MAX_ALPHABET = 8
 MAX_ORDER = 4  # order 2 carries the paper's results; 3 and 4 check its lemmas
+_KEY_BITS = 62  # per packed int64 key, so keys and their differences fit int64
 
 
 @dataclass(frozen=True)
@@ -215,34 +217,60 @@ def _extend_updates(k: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(updates)
 
 
-@lru_cache(maxsize=None)
-def _block_basis(k: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    """The (column, a, b) entries whose block counts decide order-m
-    equivalence of equal-length blocks, for m <= 2, in canonical order.
+def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, int, int, int]]]:
+    """The packed keys of the order-m block test (m <= 2) on words of
+    length <= n, per key its (a, b, offset, width) fields: the prefix counts
+    A_a of letters a < k-1 (b = -1), then at order 2 D_ab = |prefix|_ab -
+    |prefix|_ba for a < b; appending c adds A_a to D_ac, subtracts A_b from D_cb.
 
-    An entry reads the cumulative column `column`; for a pair column ab
-    it also reads letter columns a and b, because the block count of ab
-    over [s, e) is cum_ab[e] - cum_ab[s] - cum_a[s] * (cum_b[e] - cum_b[s]).
-    Letter entries carry a = b = -1.
-
-    The entries are letters 0..k-2 and (order 2) the pairs ab with a < b.
-    They are complete for blocks of one length L: the last letter's count
-    is L minus the others, count(aa) = C(|u|_a, 2), and
-    count(ba) = |u|_a |u|_b - count(ab).
-
-    The numpy engine reads a pair as D_ab = 2 cum_ab - cum_a cum_b instead
-    (detect._key_plan).  Over [s, e) its difference is
-    2 count(ab) - |u|_a |u|_b + cum_a[s] |u|_b - cum_b[s] |u|_a, and the
-    last two terms are the same for consecutive blocks with equal letter
-    counts, so equal D differences mean equal count(ab).
+    Blocks u of one length are equivalent iff these fields have equal
+    differences: the last letter's count is |u| minus the others, count(aa)
+    = C(|u|_a, 2), count(ba) = |u|_a |u|_b - count(ab), and over u = w[s:e)
+    D_ab(e) - D_ab(s) = 2 count(u, ab) - |u|_a |u|_b + A_a(s) |u|_b - A_b(s) |u|_a,
+    whose last three terms agree for consecutive blocks with equal letter
+    counts.  A field spans the largest gap between two block differences, n
+    or n*n // 2 (D's lie in [-n*n // 4, n*n // 4]), and a key at most
+    _KEY_BITS bits (tests/test_vector.py).  The prefix key puts key g at bit
+    _KEY_BITS * g and adds n*n // 4 to each D field, so no field is negative
+    and every key is a bit slice of it (_split_key).
     """
-    entries = [(a, -1, -1) for a in range(k - 1)]
+    fields = [(a, -1) for a in range(k - 1)]
     if m == 2:
-        pos = _index_positions(k, m)
-        entries.extend(
-            (pos[(a, b)], a, b) for a in range(k) for b in range(a + 1, k)
-        )
-    return tuple(entries)
+        fields.extend((a, b) for a in range(k) for b in range(a + 1, k))
+    plan: list[list[tuple[int, int, int, int]]] = [[]]
+    used = 0
+    for a, b in fields:
+        width = (n if b < 0 else n * n // 2).bit_length()
+        if used + width > _KEY_BITS:
+            plan.append([])
+            used = 0
+        plan[-1].append((a, b, used, width))
+        used += width
+    return plan
+
+
+@lru_cache(maxsize=1024)
+def _key_steps(k: int, m: int, n: int) -> tuple[int, tuple]:
+    """The prefix key of the empty word, and per appended letter c its
+    (unit, ((a, weight), ...)): the key grows by unit plus the sum of
+    weight * A_a over the letter counts before c (_key_plan)."""
+    shift = {}
+    for g, fields in enumerate(_key_plan(k, m, n)):
+        for a, b, offset, _ in fields:
+            shift[a, b] = 1 << (_KEY_BITS * g + offset)
+    base = sum(n * n // 4 * bit for (_, b), bit in shift.items() if b >= 0)
+    steps = []
+    for c in range(k):
+        terms = [(a, shift[a, c]) for a in range(c) if (a, c) in shift]
+        terms += [(b, -shift[c, b]) for b in range(c + 1, k) if (c, b) in shift]
+        steps.append((shift.get((c, -1), 0), tuple(terms)))
+    return base, tuple(steps)
+
+
+def _split_key(key: int, count: int) -> list[int]:
+    """The first count int64 keys of a prefix key, lowest first."""
+    mask = (1 << _KEY_BITS) - 1
+    return [key >> _KEY_BITS * g & mask for g in range(count)]
 
 
 @lru_cache(maxsize=None)
@@ -435,9 +463,11 @@ class PrefixIndex:
         self._iwords = index_words(k, m)
         self._updates = _extend_updates(k, m)
         self._splits = _split_table(k, m)
-        self._basis = _block_basis(k, m) if m <= 2 else None
         self._cols: list[list[int]] = [[0] for _ in self._iwords]
         self._letters: list[int] = []
+        # orders 1, 2: _keys[i] packs word[:i] (_key_plan), written when first read
+        self._keys: list[int] = []
+        self._bound = len(wd)
         for a in wd.letters:
             self._push(a)
 
@@ -448,9 +478,8 @@ class PrefixIndex:
     def word(self) -> Word:
         return Word(tuple(self._letters), self.alphabet)
 
-    # _push/_pop are internal: the avoidance search grows and shrinks one
-    # index incrementally instead of rebuilding it per node, through its
-    # subclass search._SearchWord, whose _pop also drops stale numpy copies.
+    # _push/_pop are internal: the avoidance search (search._SearchWord)
+    # grows and shrinks one index instead of rebuilding it per node.
     def _push(self, a: int) -> None:
         cols = self._cols
         for col in cols:
@@ -464,6 +493,25 @@ class PrefixIndex:
         for col in self._cols:
             col.pop()
         self._letters.pop()
+        del self._keys[len(self._letters) + 1 :]
+
+    def _sync_keys(self) -> None:
+        """Extend _keys to every prefix; letter a's column is _cols[a]."""
+        letters = self._letters
+        if len(letters) > self._bound:
+            raise InvalidInputError(f"prefix keys planned for length <= {self._bound}")
+        base, steps = _key_steps(self.alphabet.size, self.order, self._bound)
+        keys = self._keys
+        if not keys:
+            keys.append(base)
+        cols = self._cols
+        key = keys[-1]
+        for i in range(len(keys) - 1, len(letters)):
+            unit, terms = steps[letters[i]]
+            key += unit
+            for a, weight in terms:
+                key += weight * cols[a][i]
+            keys.append(key)
 
     def _bounds(self, i: int, j: int) -> None:
         if not 0 <= i <= j <= len(self._letters):
@@ -501,30 +549,19 @@ class PrefixIndex:
         pairwise equivalent at this index's order."""
         if period < 1 or count < 1:
             raise InvalidInputError("period and count must be positive")
-        self._bounds(start, start + period * count)
-        if self._basis is None:
+        stop = start + period * count
+        self._bounds(start, stop)
+        if self.order > 2:
             first = self._factor_counts(start, start + period)
-            for t in range(1, count):
-                s = start + t * period
+            for s in range(start + period, stop, period):
                 if self._factor_counts(s, s + period) != first:
                     return False
             return True
-        cols = self._cols
-        stop = start + period * count
-        for c, a, b in self._basis:
-            col = cols[c]
-            if a < 0:
-                first = col[start + period] - col[start]
-                for s in range(start + period, stop, period):
-                    if col[s + period] - col[s] != first:
-                        return False
-            else:
-                cola = cols[a]
-                colb = cols[b]
-                e = start + period
-                first = col[e] - col[start] - cola[start] * (colb[e] - colb[start])
-                for s in range(start + period, stop, period):
-                    e = s + period
-                    if col[e] - col[s] - cola[s] * (colb[e] - colb[s]) != first:
-                        return False
+        keys = self._keys
+        if len(keys) <= stop:
+            self._sync_keys()
+        first = keys[start + period] - keys[start]
+        for s in range(start + period, stop, period):
+            if keys[s + period] - keys[s] != first:
+                return False
         return True

@@ -1,13 +1,15 @@
-"""The minimal order-1/order-2 block basis, in both of its consumers.
+"""The order-1/order-2 packed key, in both of its writers.
 
-PrefixIndex.blocks_equivalent (the python engine and the search) and the
-vector engine both read words._block_basis, the vector engine with each
-pair entry as the antisymmetric count D_ab = |prefix|_ab - |prefix|_ba.
-A power-free verdict rests on that basis being complete, so it is checked
-against the naive oracles, on planted powers at the last legal start with
-the longest period, and by a negative control that drops one pair entry;
-the identity that lets D stand for count(ab) is checked exhaustively on
-short words, with a control that tests the plain pair count instead.
+PrefixIndex.blocks_equivalent (the python engine and the search) compares
+differences of one packed Python int per prefix, and the vector engine
+compares int64 keys; both lay out the fields of words._key_plan: letters
+a < k-1 and, at order 2, the antisymmetric pair counts D_ab =
+|prefix|_ab - |prefix|_ba for a < b.  A power-free verdict rests on those
+fields being complete, so they are checked against the naive oracles, on
+planted powers at the last legal start with the longest period, and by a
+negative control that drops one pair field; the identity that lets D
+stand for count(ab) is checked exhaustively on short words, with a
+control that tests the plain pair count instead.
 """
 
 import functools
@@ -65,25 +67,23 @@ def test_basis_matches_oracle(k, m):
 def test_basis_size():
     # k - 1 letters, then the k(k-1)/2 pairs a < b
     for k in range(1, 9):
-        assert len(words._block_basis(k, 1)) == k - 1
-        assert len(words._block_basis(k, 2)) == k - 1 + k * (k - 1) // 2
+        for m, size in ((1, k - 1), (2, k - 1 + k * (k - 1) // 2)):
+            assert sum(map(len, words._key_plan(k, m, 100))) == size
 
 
-def test_dropping_a_pair_entry_is_caught(monkeypatch):
-    # negative control: without one pair column, order 2 collapses toward
-    # abelian equivalence in both consumers and the differential test fails
-    original = words._block_basis
+def test_dropping_a_pair_entry_is_caught(monkeypatch, fresh_key_steps):
+    # negative control: without one pair field, order 2 collapses toward
+    # abelian equivalence in both writers and the differential test fails
+    original = words._key_plan
 
-    def weakened(k, m):
-        basis = original(k, m)
-        return basis[:-1] if m == 2 and k > 1 else basis  # the last entry is a pair
+    def weakened(k, m, n):
+        plan = original(k, m, n)
+        if m == 2 and k > 1:
+            plan[-1].pop()  # the last field is a pair; at k = 2 the only one
+        return plan
 
-    monkeypatch.setattr(words, "_block_basis", weakened)
-    # the vector engine packs pair entries as D fields; at k = 2 the only
-    # pair is the last entry, so it drops the D fields
-    plan = detect._key_plan
-    letters_only = lambda k, m, n: [[f for f in g if f[1] < 0] for g in plan(k, m, n)]
-    monkeypatch.setattr(detect, "_key_plan", letters_only)
+    monkeypatch.setattr(words, "_key_plan", weakened)
+    monkeypatch.setattr(detect, "_key_plan", weakened)
     # find_power's recomputation would reject the false hits first; switch it
     # off so that the differential test alone has to catch them
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)

@@ -1,20 +1,24 @@
-"""The packed-key vector kernel: its int64 bounds as code, a differential
-test against the naive oracle with a negative control; then the same key
-test at deep nodes of the search word (search._SearchWord), against its
-python block tests.
+"""The packed keys: their bounds as code, the two writers against each
+other, the numpy kernel against the naive oracle with a negative control;
+then the same key test at deep nodes of the search word
+(search._SearchWord), against signatures of its last blocks.
 
-detect._key_plan packs the prefix counts of letters 0..k-2 and, at order
+words._key_plan lays out the prefix counts of letters 0..k-2 and, at order
 2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of each
-pair a < b into int64 keys.  Consecutive blocks with equal letter counts
-have equal D differences iff they have equal count(ab), so p blocks are
-equivalent iff their key differences agree: one equal-differences test
-for orders 1 and 2.  The first key is compared at every start, the
-others on its survivors only.  Words are drawn from factors of the g and
-h fixed points, which are free of 2-binomial squares and cubes, so
-abelian survivors exist and occurrences, if any, sit late.
+pair a < b.  Consecutive blocks with equal letter counts have equal D
+differences iff they have equal count(ab), so p blocks are equivalent iff
+their key differences agree: one equal-differences test for orders 1 and
+2.  PrefixIndex keeps one Python int per prefix, its D fields biased so
+that every int64 key is a bit slice of it; the numpy scan
+(detect._scan_keys) writes the same keys with D signed.  The first key is
+compared at every start, the others on its survivors only.  Words are
+drawn from factors of the g and h fixed points, which are free of
+2-binomial squares and cubes, so abelian survivors exist and occurrences,
+if any, sit late.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +27,16 @@ from hypothesis import given, settings, strategies as st
 import binwords.detect as detect
 import binwords.search as search
 import binwords.words as words
-from binwords import PRESETS, PrefixIndex, find_power, fixed_point_prefix, longest_avoiding
+from binwords import (
+    PRESETS,
+    PrefixIndex,
+    find_power,
+    fixed_point_prefix,
+    longest_avoiding,
+    signature,
+    word,
+)
+from binwords.errors import InvalidInputError
 
 from oracles import naive_equivalent, naive_find_power
 
@@ -38,20 +51,21 @@ def d_bound(n):
     return n * n // 4
 
 
-def field_bounds(n, a):
+def field_bounds(n, b):
     """(largest |value|, largest |block difference|, largest gap between two
-    block differences) of a field on words of length n, in plain ints."""
-    if a < 0:
+    block differences) of a field on words of length n, in plain ints; the
+    gap also bounds a biased D value, which lies in [0, 2 * d_bound(n)]."""
+    if b < 0:
         return n, n, n
     return d_bound(n), d_bound(n), 2 * d_bound(n)
 
 
-def unpack(key, group):
-    """The fields of one key, lowest first; D fields are signed."""
+def unpack(key, group, signed=True):
+    """The fields of one key, lowest first; D fields may be signed."""
     out = []
-    for _, a, _, _, width in group:
+    for _, b, _, width in group:
         low = key % (1 << width)
-        if a >= 0 and low >= 1 << (width - 1):
+        if signed and b >= 0 and 2 * low >= 1 << width:
             low -= 1 << width
         out.append(low)
         key = (key - low) >> width
@@ -60,12 +74,13 @@ def unpack(key, group):
 
 
 def check_plan(k, m, n):
-    plan = detect._key_plan(k, m, n)
-    assert [f[:3] for group in plan for f in group] == list(words._block_basis(k, m))
+    plan = words._key_plan(k, m, n)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] if m == 2 else []
+    assert [f[:2] for group in plan for f in group] == [(a, -1) for a in range(k - 1)] + pairs
     for group in plan:
         offset = key_max = diff_max = 0
-        for _, a, _, field_offset, width in group:
-            value, diff, gap = field_bounds(n, a)
+        for _, b, field_offset, width in group:
+            value, diff, gap = field_bounds(n, b)
             assert field_offset == offset
             assert gap < 1 << width
             key_max += value << offset
@@ -75,34 +90,55 @@ def check_plan(k, m, n):
         assert key_max < INT64_LIMIT and diff_max < INT64_LIMIT
 
 
+def run_key(k, n, runs):
+    """The prefix key of the word c1^r1 c2^r2 ... for runs [(c, r), ...],
+    planned for length n, by the step table of words._key_steps: a letter's
+    step reads only the other letters' counts, which are fixed in a run."""
+    base, steps = words._key_steps(k, 2, n)
+    key, counts = base, [0] * k
+    for c, r in runs:
+        unit, terms = steps[c]
+        key += r * (unit + sum(weight * counts[a] for a, weight in terms))
+        counts[c] += r
+    return key
+
+
 def extremes(k, n):
-    """Plain-int basis columns at position n of a^h b^(n-h) and b^(n-h) a^h
-    for each pair a < b, which put D_ab at +-(n*n // 4), and of c^n."""
+    """Runs, letter counts and D values of a^h b^(n-h) and b^(n-h) a^h for
+    each pair a < b, which put D_ab at +-(n*n // 4), and of c^n."""
     h = n // 2
-    pos = words._index_positions(k, 2)
     cases = []
     for a, b in itertools.combinations(range(k), 2):
-        for c_ab in (h * (n - h), 0):
-            cols = dict.fromkeys(range(k * k + k), 0)
-            cols[a], cols[b] = h, n - h
-            cols[pos[(a, b)]] = c_ab
-            cases.append((cols, {(a, b): 2 * c_ab - h * (n - h)}))
+        counts = [0] * k
+        counts[a], counts[b] = h, n - h
+        cases.append(([(a, h), (b, n - h)], counts, {(a, b): h * (n - h)}))
+        cases.append(([(b, n - h), (a, h)], counts, {(a, b): -h * (n - h)}))
     for c in range(k):
-        cols = dict.fromkeys(range(k * k + k), 0)
-        cols[c] = n
-        cases.append((cols, {}))
+        counts = [0] * k
+        counts[c] = n
+        cases.append(([(c, n)], counts, {}))
     return cases
 
 
 def check_round_trip(k, n):
-    plan = detect._key_plan(k, 2, n)
-    for cols, d_values in extremes(k, n):
-        keys = [{} for _ in plan]
-        detect._write_keys(keys, plan, k, cols, n)
-        for key, group in zip(keys, plan):
-            np.int64(key[n])  # raises OverflowError outside int64
-            want = [cols[c] if a < 0 else d_values.get((a, b), 0) for c, a, b, _, _ in group]
-            assert unpack(key[n], group) == want
+    # every key slice of the prefix key is a non-negative int64 whose fields
+    # are the letter counts and the D values plus the bias n*n // 4
+    plan = words._key_plan(k, 2, n)
+    for runs, counts, d_values in extremes(k, n):
+        key = run_key(k, n, runs)
+        if n <= 511:  # the same key written letter by letter
+            index = PrefixIndex([c for c, r in runs for _ in range(r)], 2, alphabet=k)
+            index._sync_keys()
+            assert index._keys[n] == key
+        slices = words._split_key(key, len(plan))
+        assert key == sum(s << 62 * g for g, s in enumerate(slices))
+        for part, group in zip(slices, plan):
+            np.int64(part)  # raises OverflowError outside int64
+            want = [
+                counts[a] if b < 0 else d_bound(n) + d_values.get((a, b), 0)
+                for a, b, _, _ in group
+            ]
+            assert unpack(part, group, signed=False) == want
 
 
 class TestPackingBound:
@@ -119,28 +155,29 @@ class TestPackingBound:
         for k in range(1, 9):
             check_plan(k, 2, n)
         check_round_trip(2, n)
+        check_round_trip(8, n)
 
     @pytest.mark.parametrize("k,n", [(3, 100), (8, 511)])
     def test_pack_key_fields_round_trip(self, k, n):
         # D at +-(n*n // 4) sits next to letter counts at n in every key
         check_round_trip(k, n)
 
-    def test_narrower_d_field_is_caught(self, monkeypatch):
+    def test_narrower_d_field_is_caught(self, monkeypatch, fresh_key_steps):
         # mutant: every D field one bit narrower, later offsets moved down
-        original = detect._key_plan
+        original = words._key_plan
 
         def narrowed(k, m, n):
             plan = []
             for group in original(k, m, n):
                 offset, fields = 0, []
-                for c, a, b, _, width in group:
-                    width -= a >= 0
-                    fields.append((c, a, b, offset, width))
+                for a, b, _, width in group:
+                    width -= b >= 0
+                    fields.append((a, b, offset, width))
                     offset += width
                 plan.append(fields)
             return plan
 
-        monkeypatch.setattr(detect, "_key_plan", narrowed)
+        monkeypatch.setattr(words, "_key_plan", narrowed)
         with pytest.raises(AssertionError):
             check_plan(3, 2, 100)
         with pytest.raises(AssertionError):
@@ -218,7 +255,7 @@ def ends_with_power(letters, m, p, k):
     return False
 
 
-def letters_only(k, m, n, plan=detect._key_plan):
+def letters_only(k, m, n, plan=words._key_plan):
     """The key plan without its D fields: order 2 decided by letter counts."""
     return [[f for f in group if f[1] < 0] for group in plan(k, m, n)]
 
@@ -249,6 +286,61 @@ def test_one_letter_words(m, p):
         assert w.power_ends_at_last(p) == ends_with_power([0] * n, m, p, 1)
 
 
+# ---------------------------------------------------------------- the two writers
+
+
+def agreement_words(k):
+    """Random words over k letters, and g and h prefixes on the top letters."""
+    rng = random.Random(k)
+    out = [[rng.randrange(k) for _ in range(n)] for n in (1, 2, 7, 64, 300)]
+    for name, size in (("g", 3), ("h", 2)):
+        if size <= k:
+            source = fixed_point_prefix(PRESETS[name].morphism, 0, 300).letters
+            out.append([k - size + a for a in source])
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_prefix_key_slices_match_the_scan_keys(k):
+    # the Python prefix key, sliced into int64 keys and unbiased, equals
+    # detect's numpy keys field by field at every prefix
+    for letters in agreement_words(k):
+        n = len(letters)
+        for m in (1, 2):
+            index = PrefixIndex(letters, m, alphabet=k)
+            index._sync_keys()
+            plan = words._key_plan(k, m, n)
+            scan = detect._scan_keys(word(letters, k), m)
+            bias = words._split_key(index._keys[0], len(plan))
+            for i, key in enumerate(index._keys):
+                parts = words._split_key(key, len(plan))
+                for part, base, got, group in zip(parts, bias, scan[:, i], plan):
+                    fields = unpack(part, group, signed=False)
+                    bias_fields = unpack(base, group, signed=False)
+                    want = unpack(int(got), group)
+                    assert [f - b for f, b in zip(fields, bias_fields)] == want
+
+
+def test_keys_past_the_planned_bound_are_refused():
+    # a key planned for length n cannot hold a longer word's fields, so
+    # syncing past n raises instead of writing keys that could overflow
+    index = PrefixIndex("0110", 2)
+    index._push(1)
+    with pytest.raises(InvalidInputError):
+        index.blocks_equivalent(0, 1, 2)
+    assert index._keys == []
+    for deep in (0, 9):
+        w = search._SearchWord(2, 2, 8)
+        w.deep = deep
+        for a in (0, 0, 1, 0, 1, 1, 0, 1):
+            w._push(a)
+        assert not w.power_ends_at_last(3)
+        w._push(1)
+        with pytest.raises(InvalidInputError):
+            w.power_ends_at_last(3)
+        assert len(w._keys) == 9
+
+
 # ---------------------------------------------------------------- deep search nodes
 
 SEARCH_WORD_CAP = 4 * MAX_LEN  # longest script: four segments
@@ -272,6 +364,17 @@ def regrown_words(draw):
     return k, segments
 
 
+def suffix_power(letters, m, p, k):
+    """Whether p equivalent blocks end at the last letter, by signatures."""
+    n = len(letters)
+    for t in range(1, n // p + 1):
+        blocks = [letters[n - j * t : n - (j - 1) * t] for j in range(1, p + 1)]
+        first = signature(blocks[0], m, alphabet=k).counts
+        if all(signature(b, m, alphabet=k).counts == first for b in blocks[1:]):
+            return True
+    return False
+
+
 @settings(max_examples=200)
 @given(
     regrown_words(),
@@ -281,25 +384,30 @@ def regrown_words(draw):
 )
 def test_search_word_suffix_test_matches_python(script, m, p, deep):
     # replay the script on two search words in lockstep, as the search
-    # does: one runs numpy at depths >= deep, the other python only
+    # does: one runs numpy at depths >= deep, the other python only; both
+    # read the prefix key, so each is compared with block signatures
     k, segments = script
-    words = [search._SearchWord(k, m, SEARCH_WORD_CAP) for _ in range(2)]
-    vector, python = words
+    pair = [search._SearchWord(k, m, SEARCH_WORD_CAP) for _ in range(2)]
+    vector, python = pair
     vector.deep = deep
     python.deep = SEARCH_WORD_CAP + 1
     for drop, grow in segments:
         for _ in range(min(drop, len(vector))):
-            for w in words:
+            for w in pair:
                 w._pop()
         for a in grow:
-            for w in words:
+            for w in pair:
                 w._push(a)
             if len(vector) >= deep:
-                assert vector.power_ends_at_last(p) == python.power_ends_at_last(p)
+                want = suffix_power(vector._letters, m, p, k)
+                assert vector.power_ends_at_last(p) == want
+                assert python.power_ends_at_last(p) == want
 
 
-def test_search_word_without_stage_two_is_caught(monkeypatch):
-    # negative control: order 2 decided by letter counts alone
+def test_search_word_without_stage_two_is_caught(monkeypatch, fresh_key_steps):
+    # negative control: order 2 decided by letter counts alone, in the
+    # prefix key and in the plan the search word sizes its numpy copies from
+    monkeypatch.setattr(words, "_key_plan", letters_only)
     monkeypatch.setattr(search, "_key_plan", letters_only)
     with pytest.raises(AssertionError):
         test_search_word_suffix_test_matches_python()
@@ -308,13 +416,13 @@ def test_search_word_without_stage_two_is_caught(monkeypatch):
 @pytest.mark.parametrize(
     "k,m,cap,keys,deep",
     [(2, 2, 2000, 1, 192), (3, 2, 2000, 2, 192), (3, 1, 2000, 1, 192), (6, 2, 500, 6, 192),
-     (7, 2, 500, 8, 384), (8, 2, 500, 11, 576), (8, 2, 2000, 16, 576), (3, 3, 2000, None, 2001)],
+     (7, 2, 500, 8, 192), (8, 2, 500, 11, 192), (8, 2, 2000, 16, 192), (3, 3, 2000, None, 2001)],
 )
 def test_numpy_depth_follows_the_key_count(k, m, cap, keys, deep):
-    # each key past the first costs a gather per node, so numpy starts
-    # deeper when there are 8 or more; k = 2, 3 keep depth 192
+    # the int64 keys are slices of the prefix key, so with up to 16 keys
+    # numpy takes over at depth 192 (sweep in CHANGES.md); order 3 never does
     w = search._SearchWord(k, m, cap)
-    assert (len(w.plan) if m <= 2 else None, w.deep) == (keys, deep)
+    assert (len(w.keys) if m <= 2 else None, w.deep) == (keys, deep)
 
 
 SEARCH_CASES = [

@@ -379,6 +379,18 @@ class TestPrefixIndex:
         idx._pop()
         assert [list(c) for c in idx._cols] == before
         assert str(idx.word) == "012"
+        # the prefix keys: written only for a block test, trimmed by _pop
+        # and written again for a regrown word
+        idx = PrefixIndex(Word.parse("0121"), 2)
+        assert idx._keys == []
+        assert not idx.blocks_equivalent(0, 2, 2)
+        full = list(idx._keys)
+        assert len(full) == 5
+        idx._pop()
+        assert idx._keys == full[:4]
+        idx._push(1)
+        assert not idx.blocks_equivalent(0, 2, 2)
+        assert idx._keys == full
 
     def test_word_property(self):
         idx = PrefixIndex("0102", 2)
