@@ -12,7 +12,9 @@ temporary directory, and every seed runs once there and once in this
 checkout, the order alternating from pair to pair so that a drift of the
 host's speed does not favour one side.  Each pair then records, per
 metric, the ratio change / parent and the winner.  The directory is
-removed afterwards; the repository itself is not touched.
+removed afterwards; git's state is not touched.  Both sides' `src/` are
+byte-compiled first (compileall writes `__pycache__`, which git ignores),
+so `setup_s` compares imports from bytecode on both sides.
 
     python3 scripts/bench.py --seeds 401 402 403 --out BENCH.json
     python3 scripts/bench.py --parent HEAD~1 --workload search \\
@@ -26,6 +28,7 @@ before any run starts).
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -108,12 +111,20 @@ def checkout(rev: str) -> Iterator[Path]:
         subprocess.run(["git", "archive", "--output", str(tar), rev],
                        cwd=ROOT, check=True, capture_output=True)
         subprocess.run(["tar", "-xf", str(tar), "-C", str(path)], check=True, capture_output=True)
+        compile_src(path)
         yield path
+
+
+def compile_src(checkout: Path) -> None:
+    """Byte-compile checkout's src/, so that setup_s never includes compiling."""
+    if not compileall.compile_dir(checkout / "src", quiet=1):
+        raise RuntimeError(f"byte-compiling {checkout / 'src'} failed")
 
 
 def bench(workloads: list[str], seeds: list[int], seconds: float,
           parent: Optional[Path]) -> dict:
     better = directions()
+    compile_src(ROOT)
     record: dict = {"seconds": seconds, "seeds": seeds, "workloads": {}}
     for workload in workloads:
         change_runs, parent_runs, pairs = [], [], []

@@ -31,6 +31,7 @@ Checks, by registry name:
 
 `run_check` and `run_all` are the entry points; they take every size from a
 `CheckConfig` and reject a size below its check's least value up front.
+Random words draw exactly the stream of `random.Random.randrange`.
 """
 
 from __future__ import annotations
@@ -142,13 +143,14 @@ class _Run:
 
 
 def _binary_words(n: int) -> list[Word]:
-    return [Word(tup, _A2) for tup in product((0, 1), repeat=n)]
+    return [Word._trusted(tup, _A2) for tup in product((0, 1), repeat=n)]
 
 
 def _random_word(rng: random.Random, k: int, lo: int, hi: int) -> Word:
-    """A word over k letters with its length drawn from lo..hi, then its letters."""
-    ln = rng.randrange(lo, hi + 1)
-    return Word(tuple(rng.randrange(k) for _ in range(ln)), Alphabet(k))
+    """A word over k letters, its length in lo..hi (lo <= hi), drawn as randrange would."""
+    draw = rng._randbelow
+    ln = lo + draw(hi + 1 - lo)
+    return Word._trusted(tuple([draw(k) for _ in range(ln)]), Alphabet(k))
 
 
 def _erasure(run: _Run, n: int, fault: bool) -> None:

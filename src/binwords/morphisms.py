@@ -67,7 +67,7 @@ class Morphism:
         out: list[int] = []
         for a in uw.letters:
             out.extend(self.images[a])
-        return Word(tuple(out), self.alphabet)
+        return Word._trusted(tuple(out), self.alphabet)
 
 
 def parse_morphism(text: str, alphabet: Union[Alphabet, int, None] = None) -> Morphism:
@@ -155,14 +155,12 @@ def fixed_point_prefix(f: Morphism, a: int, n: int) -> Word:
     _check_int(n, "prefix length", 0)
     if not is_prolongable(f, a):
         raise NotProlongableError(f"morphism is not prolongable on letter {a}")
-    if n == 0:
-        return Word((), f.alphabet)
     buf = list(f.images[a])
     i = 1
     while len(buf) < n:
         buf.extend(f.images[buf[i]])
         i += 1
-    return Word(tuple(buf[:n]), f.alphabet)
+    return Word._trusted(tuple(buf[:n]), f.alphabet)
 
 
 def is_prefix_code(f: Morphism) -> bool:
@@ -200,7 +198,7 @@ def decode(w: WordLike, f: Morphism) -> tuple[Word, int]:
                 break
         else:
             break
-    return Word(tuple(pre), f.alphabet), pos
+    return Word._trusted(tuple(pre), f.alphabet), pos
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BinwordsError, Budget, BudgetExceededError
 from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
-from .words import _key_plan, _split_key
+from .words import _extend_updates, _key_plan, _split_key
 from .detect import _VECTOR_MAX_LEN, _power_ends_at
 from .detect import is_power_free
 
@@ -119,6 +119,9 @@ class _SearchWord(PrefixIndex):
         super().__init__(Word((), Alphabet(k)), m)
         self._bound = min(cap, _VECTOR_MAX_LEN - 1)
         self.deep = cap + 1
+        if m <= 2:  # the keys read only the letter columns; factor is never called
+            del self._cols[k:]
+            self._updates = _extend_updates(k, 1)
         if m <= 2 and cap < _VECTOR_MAX_LEN:
             self.deep = _NUMPY_DEPTH
             self.keys = np.zeros((len(_key_plan(k, m, cap)), cap + 1), np.int64)

@@ -11,13 +11,16 @@ equivalence, and each order refines the one below.
 
 All arithmetic is exact Python integer arithmetic on immutable values; at
 orders 1 and 2 a PrefixIndex packs each prefix into one key (_key_plan).
+Public constructors validate; a Word or signature derived from validated
+values (a slice, concatenation, image or count) is built by _trusted.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, product
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedOrderError
@@ -66,13 +69,15 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        if self.letters:
-            lo = min(self.letters)
-            hi = max(self.letters)
-            if lo < 0 or hi >= self.alphabet.size:
-                raise InvalidInputError(
-                    f"letters must lie in 0..{self.alphabet.size - 1}"
-                )
+        for a in self.letters:
+            self.alphabet.check(a)
+
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], alphabet: Alphabet) -> "Word":
+        """A Word of a tuple of letters known to lie in alphabet, not validated again."""
+        w = object.__new__(cls)
+        w.__dict__.update(letters=letters, alphabet=alphabet)
+        return w
 
     @classmethod
     def parse(cls, text: str, alphabet: Union[Alphabet, int, None] = None) -> "Word":
@@ -93,7 +98,7 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.letters[item], self.alphabet)
+            return Word._trusted(self.letters[item], self.alphabet)
         return self.letters[item]
 
     def __add__(self, other: "Word") -> "Word":
@@ -101,11 +106,11 @@ class Word:
             return NotImplemented
         if other.alphabet != self.alphabet:
             raise InvalidInputError("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.alphabet)
+        return Word._trusted(self.letters + other.letters, self.alphabet)
 
     def mirror(self) -> "Word":
         """The reversed word."""
-        return Word(self.letters[::-1], self.alphabet)
+        return Word._trusted(self.letters[::-1], self.alphabet)
 
     def __str__(self) -> str:
         return "".join(map(str, self.letters))
@@ -123,13 +128,11 @@ def word(source: WordLike, alphabet: Union[Alphabet, int, None] = None) -> Word:
         return Word(source.letters, _as_alphabet(alphabet))
     if isinstance(source, str):
         return Word.parse(source, alphabet)
-    letters = tuple(source)
     alph = Alphabet(MAX_ALPHABET) if alphabet is None else _as_alphabet(alphabet)
-    for a in letters:
-        alph.check(a)
+    w = Word(tuple(source), alph)
     if alphabet is None:
-        alph = Alphabet(max(letters, default=0) + 1)
-    return Word(letters, alph)
+        w = Word._trusted(w.letters, Alphabet(max(w.letters, default=0) + 1))
+    return w
 
 
 def _common_alphabet(
@@ -144,12 +147,8 @@ def _common_alphabet(
         return word(u, v.alphabet), v
     uw = word(u)
     vw = word(v)
-    size = max(uw.alphabet.size, vw.alphabet.size)
-    if size != uw.alphabet.size:
-        uw = Word(uw.letters, Alphabet(size))
-    if size != vw.alphabet.size:
-        vw = Word(vw.letters, Alphabet(size))
-    return uw, vw
+    alph = Alphabet(max(uw.alphabet.size, vw.alphabet.size))
+    return word(uw, alph), word(vw, alph)
 
 
 def mirror(u: WordLike, alphabet: Union[Alphabet, int, None] = None) -> Word:
@@ -185,7 +184,7 @@ def index_words(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """
     out: list[tuple[int, ...]] = []
     for length in range(1, m + 1):
-        out.extend(itertools.product(range(k), repeat=length))
+        out.extend(product(range(k), repeat=length))
     return tuple(out)
 
 
@@ -350,6 +349,16 @@ class BinomialSignature:
             )
 
     @classmethod
+    def _trusted(
+        cls, alphabet: Alphabet, order: int, length: int, counts: tuple[int, ...]
+    ) -> "BinomialSignature":
+        """A signature whose order and counts are known to fit, not validated again."""
+        sig = object.__new__(cls)
+        d = sig.__dict__
+        d["alphabet"], d["order"], d["length"], d["counts"] = alphabet, order, length, counts
+        return sig
+
+    @classmethod
     def zero(cls, alphabet: Union[Alphabet, int], order: int) -> "BinomialSignature":
         alph = _as_alphabet(alphabet)
         return cls(alph, order, 0, (0,) * len(index_words(alph.size, order)))
@@ -372,7 +381,7 @@ class BinomialSignature:
         new = list(old)
         for t, s in _extend_updates(self.alphabet.size, self.order)[letter]:
             new[t] += old[s] if s >= 0 else 1
-        return BinomialSignature(self.alphabet, self.order, self.length + 1, tuple(new))
+        return BinomialSignature._trusted(self.alphabet, self.order, self.length + 1, tuple(new))
 
     def concat(self, other: "BinomialSignature") -> "BinomialSignature":
         """Signature of the concatenation uv from the signatures of u and v.
@@ -392,7 +401,7 @@ class BinomialSignature:
             for l, r in splits:
                 acc += a[l] * b[r]
             out[i] += acc
-        return BinomialSignature(
+        return BinomialSignature._trusted(
             self.alphabet, self.order, self.length + other.length, tuple(out)
         )
 
@@ -415,13 +424,13 @@ def signature(
     uw = word(u, alphabet)
     k = uw.alphabet.size
     if k == 2 and m == 2:
-        return BinomialSignature(uw.alphabet, 2, len(uw), _signature2_binary(uw.letters))
+        return BinomialSignature._trusted(uw.alphabet, 2, len(uw), _signature2_binary(uw.letters))
     counts = [0] * len(index_words(k, m))
     updates = _extend_updates(k, m)
     for a in uw.letters:
         for t, s in updates[a]:
             counts[t] += counts[s] if s >= 0 else 1
-    return BinomialSignature(uw.alphabet, m, len(uw), tuple(counts))
+    return BinomialSignature._trusted(uw.alphabet, m, len(uw), tuple(counts))
 
 
 def equivalent(
@@ -463,20 +472,28 @@ class PrefixIndex:
         self._iwords = index_words(k, m)
         self._updates = _extend_updates(k, m)
         self._splits = _split_table(k, m)
-        self._cols: list[list[int]] = [[0] for _ in self._iwords]
-        self._letters: list[int] = []
         # orders 1, 2: _keys[i] packs word[:i] (_key_plan), written when first read
         self._keys: list[int] = []
         self._bound = len(wd)
-        for a in wd.letters:
-            self._push(a)
+        if m > 2:  # orders 3, 4 grow the columns letter by letter
+            self._letters, self._cols = [], [[0] for _ in self._iwords]
+            for a in wd.letters:
+                self._push(a)
+            return
+        # one pass per column: letter a sums [c = a], pair ab sums A_a before each b
+        self._letters = list(wd.letters)
+        hits = [list(map(a.__eq__, self._letters)) for a in range(k)]
+        self._cols = [list(accumulate(h, initial=0)) for h in hits]
+        if m == 2:  # pairs (a, b) in index_words order
+            pairs = product(self._cols, hits)
+            self._cols += [list(accumulate(map(mul, c, h), initial=0)) for c, h in pairs]
 
     def __len__(self) -> int:
         return len(self._letters)
 
     @property
     def word(self) -> Word:
-        return Word(tuple(self._letters), self.alphabet)
+        return Word._trusted(tuple(self._letters), self.alphabet)
 
     # _push/_pop are internal: the avoidance search (search._SearchWord)
     # grows and shrinks one index instead of rebuilding it per node.
@@ -540,7 +557,7 @@ class PrefixIndex:
     def factor(self, i: int, j: int) -> BinomialSignature:
         """Signature of the factor word[i:j]."""
         self._bounds(i, j)
-        return BinomialSignature(
+        return BinomialSignature._trusted(
             self.alphabet, self.order, j - i, tuple(self._factor_counts(i, j))
         )
 

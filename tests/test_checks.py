@@ -1,8 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
+import binwords.checks as checks
 from binwords import (
+    Alphabet,
     CHECK_NAMES,
     CheckConfig,
     InvalidInputError,
@@ -288,3 +291,21 @@ class TestParamsAndSizes:
     def test_any_int_seed_accepted(self):
         rep = run_check("identities", small(seed=-4))
         assert rep.passed and rep.params["seed"] == -4
+
+
+def _reference_random_word(rng, k, lo, hi):
+    # the draws _random_word must reproduce: randrange for the length, then
+    # per letter; a different stream would change every sampled instance
+    ln = rng.randrange(lo, hi + 1)
+    return tuple(rng.randrange(k) for _ in range(ln))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 40), (3, 3), (11, 24), (0, 100)])
+def test_random_word_draws_the_randrange_stream(k, lo, hi):
+    ours, ref = random.Random(f"{k}:{lo}:{hi}"), random.Random(f"{k}:{lo}:{hi}")
+    for _ in range(1000):
+        w = checks._random_word(ours, k, lo, hi)
+        assert w.letters == _reference_random_word(ref, k, lo, hi)
+        assert w.alphabet == Alphabet(k)
+    assert ours.getstate() == ref.getstate()

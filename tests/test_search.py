@@ -7,11 +7,15 @@ import pytest
 
 import binwords.search as search
 from binwords import (
+    Alphabet,
     BudgetExceededError,
     CountTable,
     InvalidInputError,
+    PrefixIndex,
     SearchCertificate,
+    Word,
     count_avoiding,
+    index_words,
     is_power_free,
     longest_avoiding,
     word,
@@ -280,3 +284,20 @@ class TestCrossChecks:
         w = cert.witness
         for i in range(1, len(w) + 1):
             assert is_power_free(w[:i], 2, 3)
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (2, 1), (3, 2), (4, 2), (3, 3), (2, 4)])
+def test_search_word_keeps_the_columns_it_reads(k, m):
+    # at m <= 2 the suffix test reads only the letter columns (to write its
+    # prefix keys), so the search word keeps and pushes only those
+    w = search._SearchWord(k, m, 60)
+    kept = k if m <= 2 else len(index_words(k, m))
+    letters = [(i * i + i // 3) % k for i in range(40)]
+    for n, a in enumerate(letters, 1):
+        w._push(a)
+        w.power_ends_at_last(2)
+        if n % 7 == 0:
+            w._pop()
+            w._push(a)
+    assert len(w._cols) == kept
+    assert w._cols == PrefixIndex(Word(tuple(letters), Alphabet(k)), m)._cols[:kept]

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -85,6 +86,26 @@ class TestWordBasics:
         assert str(a + b) == "0110"
         with pytest.raises(InvalidInputError):
             a + Word.parse("2", 3)
+
+    @pytest.mark.parametrize("letters", [(0.5, 1), (True, False), (0, True), (0, "1")])
+    def test_constructor_rejects_non_int_letters(self, letters):
+        with pytest.raises(InvalidInputError):
+            Word(letters, Alphabet(2))
+
+    def test_derived_words_equal_public_ones(self):
+        # slices, concatenations and mirrors skip validation; they are still
+        # the values the public constructor builds from the same letters
+        for u in words_up_to(3, 4):
+            w = tword(u)
+            for got, letters in (
+                (w[1:], u[1:]),
+                (w[::2], u[::2]),
+                (w + w[:2], u + u[:2]),
+                (w.mirror(), u[::-1]),
+            ):
+                want = Word(tuple(letters), Alphabet(3))
+                assert got == want and hash(got) == hash(want)
+                assert type(got.letters) is tuple
 
     def test_mirror(self):
         assert str(Word.parse("012").mirror()) == "210"
@@ -224,6 +245,25 @@ class TestSignature:
     def test_concat_matches_concatenation_ternary(self, u, v):
         cat = signature(tword(u), 2).concat(signature(tword(v), 2))
         assert cat.counts == signature(tword(u + v), 2).counts
+
+    def test_extend_rejects_a_letter_outside_the_alphabet(self):
+        for bad in (5, 2, -1, True, 1.0):
+            with pytest.raises(InvalidInputError):
+                signature("01", 2).extend(bad)
+
+    def test_derived_signatures_equal_public_ones(self):
+        # signature, extend, concat and factor skip validation; they are
+        # still the values the public constructor builds
+        w = tword((0, 2, 1, 1, 0, 2))
+        idx = PrefixIndex(w, 2)
+        for got in (
+            signature(w, 2),
+            signature(w[:5], 2).extend(2),
+            signature(w[:2], 2).concat(signature(w[2:], 2)),
+            idx.factor(0, 6),
+        ):
+            want = BinomialSignature(Alphabet(3), 2, 6, signature(w, 2).counts)
+            assert got == want and hash(got) == hash(want)
 
     def test_concat_rejects_mismatched_operands(self):
         with pytest.raises(InvalidInputError):
@@ -391,6 +431,22 @@ class TestPrefixIndex:
         idx._push(1)
         assert not idx.blocks_equivalent(0, 2, 2)
         assert idx._keys == full
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_pass_build_matches_push(self, k, m):
+        # the constructor builds the columns in one pass at m <= 2; they
+        # must be those of an index grown letter by letter
+        rng = random.Random(f"{k}:{m}")
+        for n in range(41):
+            w = Word(tuple(rng.randrange(k) for _ in range(n)), Alphabet(k))
+            grown = PrefixIndex(Word((), Alphabet(k)), m)
+            for a in w.letters:
+                grown._push(a)
+            built = PrefixIndex(w, m)
+            assert built._letters == grown._letters == list(w.letters)
+            assert built._cols == grown._cols
+            assert all(type(x) is int for col in built._cols for x in col)
 
     def test_word_property(self):
         idx = PrefixIndex("0102", 2)
