@@ -235,9 +235,9 @@ def _desubstitution(run: _Run, scan_len: int, max_len: int, fault: bool) -> None
     for half in range(1, max_len // 2 + 1):
         for i in range(0, scan_len - 2 * half + 1):
             run.tick()
-            mid = i + half
-            if pidx.letter_counts(i, mid) != pidx.letter_counts(mid, mid + half):
+            if not pidx.blocks_equivalent(i, half, 2):
                 continue
+            mid = i + half
             u = prefix[i:mid]
             v = prefix[mid : mid + half]
             key = (u.letters, v.letters)

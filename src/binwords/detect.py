@@ -127,20 +127,37 @@ def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return None
 
 
+def _key_growth(k: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What appending letter c adds to int64 key g of words._key_plan, D
+    fields signed: unit[g, c] plus the sum over a of weight[g, c, a] * A_a,
+    where A_a counts the letters a before c.  D_ab gains A_a when b is
+    appended and loses A_b when a is."""
+    plan = _key_plan(k, m, n)
+    unit = np.zeros((len(plan), k), np.int64)
+    weight = np.zeros((len(plan), k, k), np.int64)
+    for g, fields in enumerate(plan):
+        for a, b, offset, _ in fields:
+            if b < 0:
+                unit[g, a] = 1 << offset
+            else:
+                weight[g, b, a] = 1 << offset
+                weight[g, a, b] = -(1 << offset)
+    return unit, weight
+
+
 def _scan_keys(wd: Word, m: int) -> np.ndarray:
     """The int64 keys of words._key_plan at every prefix of wd, D fields
     signed: each key is the cumulative sum of what each letter adds to it."""
     n, k = len(wd), wd.alphabet.size
-    hits = np.asarray(wd.letters, dtype=np.int64) == np.arange(k)[:, None]
+    letters = np.asarray(wd.letters, dtype=np.int64)
     counts = np.zeros((k, n + 1), np.int64)
-    np.cumsum(hits, axis=1, out=counts[:, 1:])
-    plan = _key_plan(k, m, n)
-    keys = np.zeros((len(plan), n + 1), np.int64)
-    for key, fields in zip(keys, plan):
-        grow = np.zeros(n, np.int64)
-        for a, b, offset, _ in fields:
-            field = hits[a] if b < 0 else counts[a, :n] * hits[b] - counts[b, :n] * hits[a]
-            grow += field * (1 << offset)
+    np.cumsum(letters == np.arange(k)[:, None], axis=1, out=counts[:, 1:])
+    unit, weight = _key_growth(k, m, n)
+    keys = np.zeros((len(unit), n + 1), np.int64)
+    for key, u, w in zip(keys, unit, weight):
+        grow = u[letters]
+        for a in range(k):
+            grow += w[letters, a] * counts[a, :n]
         np.cumsum(grow, out=key[1:])
     return keys
 

@@ -66,6 +66,10 @@ class Budget:
         self._deadline = 0.0 if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self._next_read = float("inf") if budget_ms is None else self._CLOCK_STRIDE
 
+    def fits(self, units: int) -> bool:
+        """Whether units more stay within the unit cap; the clock is not read."""
+        return self._max_units is None or self.units + units <= self._max_units
+
     def tick(self, units: int = 1) -> None:
         """Count units of work; raise BudgetExceededError if they do not fit."""
         if self._max_units is not None and self.units + units > self._max_units:

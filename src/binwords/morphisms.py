@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Union
 
 from .errors import (
@@ -246,10 +247,9 @@ class LiftedMatrix:
         if sig.alphabet != self.alphabet or sig.order != self.order:
             raise InvalidInputError("signature does not match the lifted matrix")
         v = sig.counts
-        counts = tuple(sum(r[j] * v[j] for j in range(len(v))) for r in self.rows)
-        k = self.alphabet.size
-        length = sum(self.image_lengths[a] * v[a] for a in range(k))
-        return BinomialSignature(self.alphabet, self.order, length, counts)
+        counts = tuple(sum(map(mul, r, v)) for r in self.rows)
+        length = sum(map(mul, self.image_lengths, v))
+        return BinomialSignature._trusted(self.alphabet, self.order, length, counts)
 
     def __matmul__(self, other: "LiftedMatrix") -> "LiftedMatrix":
         if other.alphabet != self.alphabet or other.order != self.order:

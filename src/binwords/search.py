@@ -1,10 +1,10 @@
 """Backtracking search for words avoiding m-binomial p-powers.
 
-The search walks the k-ary tree of words depth first, trying letters in
-increasing order, and prunes a branch as soon as an (m, p)-power ends at
-the freshly appended letter.  That suffix-anchored test is sound and
-complete: a word contains a power iff some prefix contains one ending at
-its own last position.  Signatures are maintained incrementally by one
+The search walks the k-ary tree of words, trying letters in increasing
+order, and prunes a branch as soon as an (m, p)-power ends at the freshly
+appended letter.  That suffix-anchored test is sound and complete: a word
+contains a power iff some prefix contains one ending at its own last
+position.  Depth first, signatures are maintained incrementally by one
 PrefixIndex that grows and shrinks with the search word, so each pruning
 test costs O(length / p) block comparisons, one packed prefix key each
 at orders 1 and 2; deeper down detect's numpy test reads int64 slices.
@@ -18,6 +18,17 @@ least unused one), and weighs it by the orbit's size: perm(k, u) for u
 distinct letters, perm(k - 1, u - 1) with the first letter fixed by
 symmetry.  Its counts and nodes are those of the full tree.  Both searches
 are deterministic, and a node budget aborts at a deterministic point.
+
+The search and the counts at orders 3 and 4 walk depth first (_dfs).  At
+orders 1 and 2 a count walks the same orbit tree in batches of up to
+_BATCH words of one depth (_count_batched), the split by order that
+detect makes between its engines: a child's int64 keys are its parent's
+last keys plus its letter's step, and one numpy pass tests every child at
+every period.  Survivors go back on a stack of batches, so the pending
+key histories stay within about n_max * k * _BATCH rows.  Its budget is
+ticked per batch, and child by child in a batch that would pass a unit
+cap, so it aborts on the same node every run; progress is reported when a
+batch first reaches a depth, in batch order.
 """
 
 from __future__ import annotations
@@ -31,11 +42,13 @@ import numpy as np
 from .errors import BinwordsError, Budget, BudgetExceededError
 from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
 from .words import _extend_updates, _key_plan, _split_key
-from .detect import _VECTOR_MAX_LEN, _power_ends_at
+from .detect import _VECTOR_MAX_LEN, _key_growth, _power_ends_at
 from .detect import is_power_free
 
-# depth, nodes, survivors at depth; a count weighs both by orbit, so they
-# include the renamings of every word walked, wherever those sort
+# depth, nodes, survivors at depth, reported when a survivor first reaches
+# the depth; a count weighs both by orbit, so they include the renamings of
+# every word walked, and at orders 1, 2 they are the totals after the batch
+# that got there (batch order, not depth-first order)
 ProgressFn = Callable[[int, int, int], None]
 
 
@@ -106,6 +119,9 @@ class CountTable:
 # From this depth on the suffix test runs on numpy: per node, python costs
 # grow with the depth and numpy's stay flat (timings in CHANGES.md).
 _NUMPY_DEPTH = 192
+# Parents per batch of the order-1/2 count; the pending batches then hold
+# at most about n_max * k * _BATCH key histories.
+_BATCH = 256
 
 
 class _SearchWord(PrefixIndex):
@@ -142,6 +158,23 @@ class _SearchWord(PrefixIndex):
         return _power_ends_at(self.keys, n, p)
 
 
+def _start(
+    k: int, m: int, p: int, cap: int, node_budget: Optional[int], budget_ms: Optional[int]
+) -> Budget:
+    """Validate a search's parameters, in one fixed order, and start its budget."""
+    _check_order(m)
+    _check_power(p)
+    _check_int(cap, "search depth cap", 1)
+    Alphabet(k)
+    return Budget("search", budget_ms, node_budget)
+
+
+def _orbit_weights(k: int, symmetry: bool) -> list[int]:
+    """Indexed by top = 1 + the largest letter: the size of the renaming
+    orbit of a word in first-occurrence form with that top."""
+    return [0] + [perm(k - 1, u - 1) if symmetry else perm(k, u) for u in range(1, k + 1)]
+
+
 @dataclass
 class _DfsResult:
     best_word: tuple[int, ...]
@@ -163,11 +196,8 @@ def _dfs(
     budget_ms: Optional[int],
     progress: Optional[ProgressFn],
 ) -> _DfsResult:
-    _check_order(m)
-    _check_power(p)
-    _check_int(depth_cap, "search depth cap", 1)
+    budget = _start(k, m, p, depth_cap, node_budget, budget_ms)
     w = _SearchWord(k, m, depth_cap)
-    budget = Budget("search", budget_ms, node_budget)
     # indexed by top = 1 + the largest letter so far: the letters to try
     # next, and the weight of a node with that top (its distinct letters,
     # in first-occurrence form)
@@ -176,9 +206,7 @@ def _dfs(
         weight = [1] * (k + 1)
     else:
         limit = [min(k, top + 1) for top in range(k + 1)]
-        weight = [0] + [
-            perm(k - 1, u - 1) if symmetry else perm(k, u) for u in range(1, k + 1)
-        ]
+        weight = _orbit_weights(k, symmetry)
     counts = [0] * depth_cap
     best_word: tuple[int, ...] = ()
     cap_word: Optional[tuple[int, ...]] = None
@@ -220,6 +248,86 @@ def _dfs(
         w._pop()  # the last letter was pruned, reached the cap or ran out of letters
         stack[-1] += 1
     return _DfsResult(best_word, cap_word, counts, budget.units, aborted)
+
+
+def _power_targets(hist: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """For the children of length n of parents with keys hist[i] at
+    positions 0..n-1, per parent i, key g and period t <= n // p: the key
+    target[i, g, t - 1] a child needs for its last block to differ on key g
+    by as much as the block before it, and for each earlier pair of adjacent
+    blocks whether they differ equally on key g, which the parent alone
+    decides.  target may wrap around int64; a child's key still equals it
+    exactly when the two differences are equal."""
+    n = hist.shape[2]
+    # bounds[j - 1][:, :, t - 1] = key[n - j * t], the j-th boundary back
+    bounds = [hist[:, :, n - j :: -j][:, :, : n // p] for j in range(1, p + 1)]
+    last = bounds[0] - bounds[1]
+    return bounds[0] + last, [bounds[j] - bounds[j + 1] == last for j in range(1, p - 1)]
+
+
+def _count_batched(
+    k: int,
+    m: int,
+    p: int,
+    n_max: int,
+    *,
+    symmetry: bool,
+    node_budget: Optional[int],
+    budget_ms: Optional[int],
+    progress: Optional[ProgressFn],
+) -> _DfsResult:
+    """_dfs's count at orders 1 and 2, walked in batches: the same orbit
+    tree, weights and nodes, up to _BATCH parents of one depth at a time.
+    A child's keys are its parent's last keys plus its letter's step, and
+    one numpy pass tests every child at every period on every key."""
+    budget = _start(k, m, p, n_max, node_budget, budget_ms)
+    unit, weight = _key_growth(k, m, n_max)
+    n_keys = len(unit)
+    # grow[a, c] is what one more letter a adds to letter c's step
+    grow = weight.transpose(2, 1, 0)
+    # indexed by a parent's top: its children's tops, and their weights
+    # (0 for the letters not tried)
+    rows = np.arange(k + 1)[:, None]
+    tops_of = np.maximum(rows, np.arange(1, k + 1))
+    units_of = np.array(_orbit_weights(k, symmetry))[tops_of] * (np.arange(k) <= rows)
+    counts = [0] * n_max
+    deepest = 0
+    # a batch: per parent its keys at every prefix, its top and its steps,
+    # step[i, c] = what appending c adds to its last keys
+    stack = [(np.zeros((1, n_keys, 1), np.int64), np.zeros(1, np.int64), unit.T[None])]
+    aborted = False
+    try:
+        while stack:
+            hist, top, step = stack.pop()
+            n = hist.shape[2]  # the children's length
+            units = units_of[top]
+            total = int(units.sum())
+            if budget.fits(total):
+                budget.tick(total)
+            else:  # abort on the very child that would pass the cap
+                for u in units[units > 0].tolist():
+                    budget.tick(u)
+            new = hist[:, None, :, -1] + step
+            target, agree = _power_targets(hist, p)
+            hit = new[..., None] == target[:, None]
+            for same in agree:
+                hit &= same[:, None]
+            alive = units * ~hit.all(2).any(2)
+            parent, letter = alive.nonzero()
+            if parent.size:
+                counts[n - 1] += int(alive.sum())
+                if n > deepest:
+                    deepest = n
+                    if progress is not None:
+                        progress(n, budget.units, counts[n - 1])
+                if n < n_max:
+                    for i in reversed(range(0, len(parent), _BATCH)):
+                        up, a = parent[i : i + _BATCH], letter[i : i + _BATCH]
+                        keys = np.concatenate((hist[up], new[up, a, :, None]), axis=2)
+                        stack.append((keys, tops_of[top[up], a], step[up] + grow[a]))
+    except BudgetExceededError:
+        aborted = True
+    return _DfsResult((), None, counts, budget.units, aborted)
 
 
 def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int) -> Word:
@@ -299,17 +407,12 @@ def count_avoiding(
     Explores the full pruned tree; a budget overrun raises rather than
     returning a silently short table.
     """
-    res = _dfs(
-        k,
-        m,
-        p,
-        n_max,
-        stop_at_cap=False,
-        symmetry=symmetry,
-        node_budget=node_budget,
-        budget_ms=budget_ms,
-        progress=progress,
-    )
+    opts = dict(symmetry=symmetry, node_budget=node_budget, budget_ms=budget_ms, progress=progress)
+    _check_order(m)
+    if m <= 2:
+        res = _count_batched(k, m, p, n_max, **opts)
+    else:
+        res = _dfs(k, m, p, n_max, stop_at_cap=False, **opts)
     if res.aborted:
         raise BudgetExceededError(
             f"count_avoiding budget ran out after {res.nodes} nodes"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -215,6 +216,15 @@ class TestSearchAndCount:
         assert lines[0].startswith("# schema=1 k=2 m=2 p=2 n_max=4 symmetry_reduced=0")
         assert lines[1] == "length\tcount"
         assert lines[2:] == ["1\t2", "2\t2", "3\t2", "4\t0"]
+
+    def test_count_progress_on_stderr(self, capsys):
+        argv = ["count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "6"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        lines = err.splitlines()
+        assert [line.split()[0] for line in lines] == [f"depth={d}" for d in range(1, 7)]
+        assert all(re.fullmatch(r"depth=\d+ nodes=\d+ alive=\d+", line) for line in lines)
+        assert run(capsys, *argv, "--quiet") == (0, out, "")
 
     def test_count_node_budget_exit_three(self, capsys):
         code, _, err = run(

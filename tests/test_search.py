@@ -21,6 +21,7 @@ from binwords import (
     word,
 )
 
+from binwords.words import _key_plan
 from oracles import all_words, naive_find_power
 
 
@@ -50,6 +51,21 @@ ORBIT_CASES = [(1, 6), (2, 9), (3, 7), (4, 5)]
 
 def check_counts_match_oracle(k: int, m: int, p: int, n_max: int) -> None:
     assert count_avoiding(k, m, p, n_max).counts == oracle_counts(k, m, p, n_max)
+
+
+def dfs_count(k: int, m: int, p: int, n_max: int, symmetry: bool = False):
+    """Counts and nodes of the depth-first walk, the reference engine."""
+    res = search._dfs(
+        k, m, p, n_max, stop_at_cap=False, symmetry=symmetry,
+        node_budget=None, budget_ms=None, progress=None,
+    )
+    assert not res.aborted
+    return tuple(res.counts), res.nodes
+
+
+def batched_count(k: int, m: int, p: int, n_max: int, symmetry: bool = False):
+    table = count_avoiding(k, m, p, n_max, symmetry=symmetry)
+    return table.counts, table.nodes
 
 
 class TestLongestAvoiding:
@@ -203,6 +219,71 @@ class TestOrbitWalk:
             check_counts_match_oracle(3, 2, 2, 6)
 
 
+class TestBatchedCount:
+    """At orders 1 and 2 count_avoiding walks the orbit tree in batches
+    (search._count_batched); its counts and nodes must be the depth-first
+    walk's, and its counts the oracle's."""
+
+    # n_max per k: the depth-first walk within a second, the oracle's ORBIT_CASES
+    DFS_N = {1: 12, 2: 16, 3: 10, 4: 8, 5: 7}
+    ORACLE_N = dict(ORBIT_CASES) | {5: 4}
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_the_depth_first_walk_and_the_oracle(self, k, m, p, symmetry):
+        n_max = self.DFS_N[k]
+        assert batched_count(k, m, p, n_max, symmetry) == dfs_count(k, m, p, n_max, symmetry)
+        n_max = self.ORACLE_N[k]
+        counts = count_avoiding(k, m, p, n_max, symmetry=symmetry).counts
+        orbit = k if symmetry else 1
+        assert tuple(c * orbit for c in counts) == oracle_counts(k, m, p, n_max)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "k,m,p,n_max,symmetry",
+        [(2, 2, 3, 14, False), (3, 2, 2, 10, True), (3, 1, 3, 8, False), (5, 2, 2, 9, False)],
+    )
+    def test_batch_boundaries_change_nothing(self, monkeypatch, batch, k, m, p, n_max, symmetry):
+        want = dfs_count(k, m, p, n_max, symmetry)
+        monkeypatch.setattr(search, "_BATCH", batch)
+        assert batched_count(k, m, p, n_max, symmetry) == want
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_plan_of_two_keys(self, p):
+        # 4 letter fields and 10 D fields of 6 bits overflow one 62-bit key
+        assert len(_key_plan(5, 2, 9)) == 2
+        assert batched_count(5, 2, p, 9) == dfs_count(5, 2, p, 9)
+
+    def test_skipping_the_longest_period_is_caught(self, monkeypatch):
+        # negative control: never test the period n // p
+        targets = search._power_targets
+
+        def mutant(hist, p):
+            target, agree = targets(hist, p)
+            return target[..., :-1], [same[..., :-1] for same in agree]
+
+        monkeypatch.setattr(search, "_power_targets", mutant)
+        for k, m, p, n_max in ((2, 2, 3, 9), (3, 1, 2, 7), (2, 2, 4, 9)):
+            assert count_avoiding(k, m, p, n_max).counts != oracle_counts(k, m, p, n_max)
+
+    def test_first_key_alone_is_caught(self, monkeypatch):
+        # negative control: a two-key plan tested on keys[0] only
+        growth = search._key_growth
+
+        def first_key(k, m, n):
+            return tuple(x[:1] for x in growth(k, m, n))
+
+        monkeypatch.setattr(search, "_key_growth", first_key)
+        assert batched_count(5, 2, 2, 9) != dfs_count(5, 2, 2, 9)
+
+    def test_orders_three_and_four_walk_depth_first(self, monkeypatch):
+        monkeypatch.setattr(search, "_count_batched", None)
+        for m in (3, 4):
+            assert count_avoiding(2, m, 2, 7).counts == oracle_counts(2, m, 2, 7)
+
+
 class TestBudgets:
     def test_node_budget_aborts_search(self):
         cert = longest_avoiding(3, 2, 2, 30, node_budget=5)
@@ -262,6 +343,18 @@ class TestValidationAndProgress:
         depths = [d for d, _, _ in seen]
         assert depths == sorted(set(depths))
         assert depths[-1] == 12
+        assert all(n >= 1 and a >= 1 for _, n, a in seen)
+
+    @pytest.mark.parametrize(
+        "k,m,p,n_max", [(2, 2, 2, 10), (3, 1, 2, 12), (3, 2, 2, 12), (2, 2, 3, 14), (2, 3, 2, 8)]
+    )
+    def test_count_progress_reaches_each_depth_once(self, k, m, p, n_max):
+        # either engine reports each depth when a survivor first reaches it,
+        # up to the deepest non-zero length; the values follow its walk order
+        seen: list[tuple[int, int, int]] = []
+        table = count_avoiding(k, m, p, n_max, progress=lambda d, n, a: seen.append((d, n, a)))
+        deepest = max(d for d, c in enumerate(table.counts, 1) if c)
+        assert [d for d, _, _ in seen] == list(range(1, deepest + 1))
         assert all(n >= 1 and a >= 1 for _, n, a in seen)
 
     def test_types(self):

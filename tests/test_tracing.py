@@ -48,3 +48,18 @@ def test_traced_search_counts_and_restores(spans):
     assert metrics["words.blocks_equivalent.calls"] == 10_493
     assert metrics["search.nodes"] == 666
     assert all(a is b for a, b in zip(bindings(spans), before, strict=True))
+
+
+def test_traced_count_records_nodes_and_survivors(spans):
+    # the batched count runs no block tests; its span still carries the
+    # nodes and survivors that perfbench's search metrics read
+    tracer = spans.Tracer()
+    with spans.tracing(binwords, tracer):
+        table = binwords.search.count_avoiding(2, 2, 3, 12)
+    rec = tracer.drain()
+    metas = [s[5] for s in rec["spans"] if tracer.names[s[0]] == "search.count_avoiding"]
+    assert metas == [[table.nodes, sum(table.counts)]]
+    metrics = spans.pass_metrics(tracer.names, rec)
+    assert metrics["search.nodes"] == table.nodes
+    assert metrics["search.survivor_ratio"] == sum(table.counts) / table.nodes
+    assert metrics["words.blocks_equivalent.calls"] == 0
