@@ -162,9 +162,8 @@ def _scan_keys(wd: Word, m: int) -> np.ndarray:
     return keys
 
 
-def _survivors(keys: np.ndarray, starts: np.ndarray, t, p: int) -> np.ndarray:
-    """The starts whose p blocks of length t have equal differences on
-    every key; t is one period for all starts or one period per start."""
+def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarray:
+    """The starts whose p blocks of length t have equal differences on every key."""
     for key in keys:
         if not starts.size:
             break
@@ -174,24 +173,7 @@ def _survivors(keys: np.ndarray, starts: np.ndarray, t, p: int) -> np.ndarray:
         for j in range(2, p):
             keep &= ends[j + 1] - ends[j] == first
         starts = starts[keep]
-        if isinstance(t, np.ndarray):
-            t = t[keep]
     return starts
-
-
-def _power_ends_at(keys: np.ndarray, n: int, p: int) -> bool:
-    """Whether a p-power ends at position n: keys[0] is compared for every
-    period at once, reading each block boundary as a strided reversed view,
-    and the other keys on its survivors only."""
-    key = keys[0]
-    # bounds[j - 1][t - 1] = key[n - j * t], the j-th boundary back for period t
-    bounds = [key[n - j :: -j][: n // p] for j in range(1, p + 1)]
-    first = key[n] - bounds[0]
-    valid = bounds[0] - bounds[1] == first
-    for j in range(1, p - 1):
-        valid &= bounds[j] - bounds[j + 1] == first
-    periods = valid.nonzero()[0] + 1
-    return _survivors(keys[1:], n - p * periods, periods, p).size > 0
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:

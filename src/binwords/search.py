@@ -4,10 +4,10 @@ The search walks the k-ary tree of words, trying letters in increasing
 order, and prunes a branch as soon as an (m, p)-power ends at the freshly
 appended letter.  That suffix-anchored test is sound and complete: a word
 contains a power iff some prefix contains one ending at its own last
-position.  Depth first, signatures are maintained incrementally by one
-PrefixIndex that grows and shrinks with the search word, so each pruning
-test costs O(length / p) block comparisons, one packed prefix key each
-at orders 1 and 2; deeper down detect's numpy test reads int64 slices.
+position.  Depth first, the search word grows and shrinks one letter at a
+time and owns that test: at orders 3 and 4 it is a PrefixIndex asking
+O(length / p) block comparisons, at orders 1 and 2 a numpy test of int64
+keys.
 
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
@@ -22,13 +22,15 @@ are deterministic, and a node budget aborts at a deterministic point.
 The search and the counts at orders 3 and 4 walk depth first (_dfs).  At
 orders 1 and 2 a count walks the same orbit tree in batches of up to
 _BATCH words of one depth (_count_batched), the split by order that
-detect makes between its engines: a child's int64 keys are its parent's
-last keys plus its letter's step, and one numpy pass tests every child at
-every period.  Survivors go back on a stack of batches, so the pending
-key histories stay within about n_max * k * _BATCH rows.  Its budget is
-ticked per batch, and child by child in a batch that would pass a unit
-cap, so it aborts on the same node every run; progress is reported when a
-batch first reaches a depth, in batch order.
+detect makes between its engines.  At these orders a word is its int64
+keys (detect._key_growth) at every prefix and per-letter steps: a child's
+keys are its parent's last keys plus its letter's step, and one numpy test
+(_children) checks all children of a batch, or of the search word's last
+prefix (_KeyWord), at every period.  Survivors go back on a stack of
+batches, so the pending key histories stay within about n_max * k *
+_BATCH rows.  A count's budget is ticked per batch, and child by child in
+a batch that would pass a unit cap, so it aborts on the same node every
+run; progress is reported when a batch first reaches a depth, in batch order.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BinwordsError, Budget, BudgetExceededError
+from .errors import BinwordsError, Budget, BudgetExceededError, InvalidInputError
 from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
-from .words import _extend_updates, _key_plan, _split_key
-from .detect import _VECTOR_MAX_LEN, _key_growth, _power_ends_at
+from .detect import _VECTOR_MAX_LEN, _key_growth
 from .detect import is_power_free
 
 # depth, nodes, survivors at depth, reported when a survivor first reaches
@@ -116,46 +117,89 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-# From this depth on the suffix test runs on numpy: per node, python costs
-# grow with the depth and numpy's stay flat (timings in CHANGES.md).
-_NUMPY_DEPTH = 192
 # Parents per batch of the order-1/2 count; the pending batches then hold
 # at most about n_max * k * _BATCH key histories.
 _BATCH = 256
 
 
-class _SearchWord(PrefixIndex):
-    """The search word: a PrefixIndex with keys planned for cap, whose
-    suffix test runs block tests below depth `deep` and detect's numpy test
-    from there on.  If that depth is within the cap, each prefix key it
-    writes is also split into int64 keys (words._split_key) in an array of
-    cap + 1 entries, so entries past the keys _pop trimmed are rewritten."""
+def _children(hist: np.ndarray, step: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For parents with int64 keys hist[i] at positions 0..n-1 and steps
+    step[i, c], each child's keys at n, new[i, c], and whether a p-power
+    ends there, hit[i, c]: at some period t <= n // p its last block
+    differs by as much as the one before (new == key[n - t] + that
+    difference, which may wrap around int64 and still compare exactly) and
+    so do the parent's earlier pairs of adjacent blocks, on every key."""
+    n = hist.shape[2]
+    new = hist[:, None, :, -1] + step
+    # bounds[j - 1][:, :, t - 1] = key[n - j * t], the j-th boundary back
+    bounds = [hist[:, :, n - j :: -j][:, :, : n // p] for j in range(1, p + 1)]
+    last = bounds[0] - bounds[1]
+    hit = new[..., None] == (bounds[0] + last)[:, None]
+    for j in range(1, p - 1):
+        hit &= (bounds[j] - bounds[j + 1] == last)[:, None]
+    return new, hit.all(2).any(2)
 
-    def __init__(self, k: int, m: int, cap: int) -> None:
+
+class _SearchWord(PrefixIndex):
+    """The search word at orders 3 and 4, a PrefixIndex asking its block
+    test at every period; at orders 1 and 2 the tests' reference for _KeyWord."""
+
+    def __init__(self, k: int, m: int, p: int, cap: int) -> None:
         super().__init__(Word((), Alphabet(k)), m)
         self._bound = min(cap, _VECTOR_MAX_LEN - 1)
-        self.deep = cap + 1
-        if m <= 2:  # the keys read only the letter columns; factor is never called
-            del self._cols[k:]
-            self._updates = _extend_updates(k, 1)
-        if m <= 2 and cap < _VECTOR_MAX_LEN:
-            self.deep = _NUMPY_DEPTH
-            self.keys = np.zeros((len(_key_plan(k, m, cap)), cap + 1), np.int64)
+        self._p = p
 
-    def power_ends_at_last(self, p: int) -> bool:
+    def power_ends_at_last(self) -> bool:
+        n, p = len(self._letters), self._p
+        return any(self.blocks_equivalent(n - p * t, t, p) for t in range(1, n // p + 1))
+
+
+class _KeyWord:
+    """The search word at orders 1 and 2, held as _count_batched holds a
+    parent: int64 keys planned for cap and steps at every prefix, grown by
+    doubling.  The first push onto a prefix flags all its children at once
+    (_children); the flags stay until _pop cuts that prefix."""
+
+    def __init__(self, k: int, m: int, p: int, cap: int) -> None:
+        self._bound = min(cap, _VECTOR_MAX_LEN - 1)
+        unit, weight = _key_growth(k, m, self._bound)
+        self._grow = weight.transpose(2, 1, 0)
+        self._p = p
+        self._letters: list[int] = []
+        # per prefix pushed onto since its last cut: which letters end a power
+        self._flags: list[list[bool]] = []
+        self._keys = np.zeros((len(unit), 1), np.int64)  # [key, position]
+        self._steps = unit.T[..., None].copy()  # [letter, key, position]
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def _push(self, a: int) -> None:
         n = len(self._letters)
-        if self.order <= 2:
-            start = len(self._keys)
-            self._sync_keys()
-            if self.deep <= self._bound:
-                for i in range(start, n + 1):
-                    self.keys[:, i] = _split_key(self._keys[i], len(self.keys))
-        if n < self.deep:
-            for block in range(1, n // p + 1):
-                if self.blocks_equivalent(n - p * block, block, p):
-                    return True
-            return False
-        return _power_ends_at(self.keys, n, p)
+        if n == len(self._flags):  # the first push onto this prefix
+            if n >= self._bound:
+                raise InvalidInputError(f"prefix keys planned for length <= {self._bound}")
+            if n == self._keys.shape[1]:  # double, up to the planned bound
+                more = min(n, self._bound - n)
+                self._keys, self._steps = (
+                    np.concatenate((x, np.zeros_like(x[..., :more])), axis=-1)
+                    for x in (self._keys, self._steps)
+                )
+            keys, steps = self._keys, self._steps
+            if n:
+                b = self._letters[-1]
+                np.add(keys[:, n - 1], steps[b, :, n - 1], out=keys[:, n])
+                np.add(steps[..., n - 1], self._grow[b], out=steps[..., n])
+            _, hit = _children(keys[None, :, : n + 1], steps[None, ..., n], self._p)
+            self._flags.append(hit[0].tolist())
+        self._letters.append(a)
+
+    def _pop(self) -> None:
+        self._letters.pop()
+        del self._flags[len(self._letters) + 1 :]
+
+    def power_ends_at_last(self) -> bool:
+        return self._flags[len(self._letters) - 1][self._letters[-1]]
 
 
 def _start(
@@ -197,7 +241,7 @@ def _dfs(
     progress: Optional[ProgressFn],
 ) -> _DfsResult:
     budget = _start(k, m, p, depth_cap, node_budget, budget_ms)
-    w = _SearchWord(k, m, depth_cap)
+    w = (_KeyWord if m <= 2 else _SearchWord)(k, m, p, depth_cap)
     # indexed by top = 1 + the largest letter so far: the letters to try
     # next, and the weight of a node with that top (its distinct letters,
     # in first-occurrence form)
@@ -207,7 +251,7 @@ def _dfs(
     else:
         limit = [min(k, top + 1) for top in range(k + 1)]
         weight = _orbit_weights(k, symmetry)
-    counts = [0] * depth_cap
+    counts: list[int] = []
     best_word: tuple[int, ...] = ()
     cap_word: Optional[tuple[int, ...]] = None
     aborted = False
@@ -227,12 +271,14 @@ def _dfs(
                 break
             w._push(a)
             d = len(w)
-            if not w.power_ends_at_last(p):
-                counts[d - 1] += weight[top]
-                if d > len(best_word):
+            if not w.power_ends_at_last():
+                if d > len(counts):  # the first survivor of this depth
+                    counts.append(weight[top])
                     best_word = tuple(w._letters)
                     if progress is not None:
                         progress(d, budget.units, counts[d - 1])
+                else:
+                    counts[d - 1] += weight[top]
                 if d < depth_cap:
                     stack.append(0)
                     tops.append(top)
@@ -248,21 +294,6 @@ def _dfs(
         w._pop()  # the last letter was pruned, reached the cap or ran out of letters
         stack[-1] += 1
     return _DfsResult(best_word, cap_word, counts, budget.units, aborted)
-
-
-def _power_targets(hist: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """For the children of length n of parents with keys hist[i] at
-    positions 0..n-1, per parent i, key g and period t <= n // p: the key
-    target[i, g, t - 1] a child needs for its last block to differ on key g
-    by as much as the block before it, and for each earlier pair of adjacent
-    blocks whether they differ equally on key g, which the parent alone
-    decides.  target may wrap around int64; a child's key still equals it
-    exactly when the two differences are equal."""
-    n = hist.shape[2]
-    # bounds[j - 1][:, :, t - 1] = key[n - j * t], the j-th boundary back
-    bounds = [hist[:, :, n - j :: -j][:, :, : n // p] for j in range(1, p + 1)]
-    last = bounds[0] - bounds[1]
-    return bounds[0] + last, [bounds[j] - bounds[j + 1] == last for j in range(1, p - 1)]
 
 
 def _count_batched(
@@ -307,12 +338,8 @@ def _count_batched(
             else:  # abort on the very child that would pass the cap
                 for u in units[units > 0].tolist():
                     budget.tick(u)
-            new = hist[:, None, :, -1] + step
-            target, agree = _power_targets(hist, p)
-            hit = new[..., None] == target[:, None]
-            for same in agree:
-                hit &= same[:, None]
-            alive = units * ~hit.all(2).any(2)
+            new, hit = _children(hist, step, p)
+            alive = units * ~hit
             parent, letter = alive.nonzero()
             if parent.size:
                 counts[n - 1] += int(alive.sum())
@@ -372,10 +399,6 @@ def longest_avoiding(
     elif res.cap_word is not None:
         outcome, letters = "cap_reached", res.cap_word
     witness = _verified_witness(letters, k, m, p)
-    counts = list(res.counts)
-    while counts and counts[-1] == 0:
-        counts.pop()  # lengths past the deepest survivor: zero for a maximal
-        # outcome, never explored otherwise; either way content-free
     return SearchCertificate(
         alphabet_size=k,
         order=m,
@@ -384,7 +407,7 @@ def longest_avoiding(
         max_length=len(letters),
         witness=witness,
         cap=cap,
-        counts=tuple(counts),
+        counts=tuple(res.counts),
         counts_complete=(outcome == "maximal"),
         symmetry_reduced=symmetry,
         nodes=res.nodes,
@@ -422,7 +445,7 @@ def count_avoiding(
         order=m,
         power=p,
         n_max=n_max,
-        counts=tuple(res.counts),
+        counts=tuple(res.counts) + (0,) * (n_max - len(res.counts)),
         symmetry_reduced=symmetry,
         nodes=res.nodes,
     )

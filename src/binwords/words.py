@@ -231,7 +231,7 @@ def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, int, int, int]]]:
     or n*n // 2 (D's lie in [-n*n // 4, n*n // 4]), and a key at most
     _KEY_BITS bits (tests/test_vector.py).  The prefix key puts key g at bit
     _KEY_BITS * g and adds n*n // 4 to each D field, so no field is negative
-    and every key is a bit slice of it (_split_key).
+    and every int64 key is a bit slice of it (tests/test_vector.py).
     """
     fields = [(a, -1) for a in range(k - 1)]
     if m == 2:
@@ -264,12 +264,6 @@ def _key_steps(k: int, m: int, n: int) -> tuple[int, tuple]:
         terms += [(b, -shift[c, b]) for b in range(c + 1, k) if (c, b) in shift]
         steps.append((shift.get((c, -1), 0), tuple(terms)))
     return base, tuple(steps)
-
-
-def _split_key(key: int, count: int) -> list[int]:
-    """The first count int64 keys of a prefix key, lowest first."""
-    mask = (1 << _KEY_BITS) - 1
-    return [key >> _KEY_BITS * g & mask for g in range(count)]
 
 
 @lru_cache(maxsize=None)

@@ -207,6 +207,24 @@ class TestSearchAndCount:
         assert code == 3
         assert json.loads(out)["outcome"] == "budget_abort"
 
+    @pytest.mark.parametrize("cap", [10**12, 3 * 10**9])
+    def test_huge_cap_aborts_within_the_node_budget(self, capsys, cap):
+        # the search sizes its keys and counts by the depth it reaches, so a
+        # cap far past any reachable depth costs nothing up front
+        def search(cap):
+            code, out, _ = run(
+                capsys,
+                "search", "-k", "3", "-m", "2", "-p", "2", "--cap", str(cap),
+                "--node-budget", "10", "--quiet",
+            )
+            return code, json.loads(out)
+
+        code, cert = search(cap)
+        assert (code, cert.pop("cap")) == (3, cap)
+        want_code, want = search(2000)
+        assert (want_code, want.pop("cap")) == (3, 2000)
+        assert cert == want
+
     def test_count_tsv(self, capsys):
         code, out, _ = run(
             capsys, "count", "-k", "2", "-m", "2", "-p", "2", "--n-max", "4", "--quiet"

@@ -15,12 +15,12 @@ from binwords import (
     SearchCertificate,
     Word,
     count_avoiding,
-    index_words,
     is_power_free,
     longest_avoiding,
     word,
 )
 
+from binwords.detect import _scan_keys
 from binwords.words import _key_plan
 from oracles import all_words, naive_find_power
 
@@ -54,13 +54,23 @@ def check_counts_match_oracle(k: int, m: int, p: int, n_max: int) -> None:
 
 
 def dfs_count(k: int, m: int, p: int, n_max: int, symmetry: bool = False):
-    """Counts and nodes of the depth-first walk, the reference engine."""
-    res = search._dfs(
-        k, m, p, n_max, stop_at_cap=False, symmetry=symmetry,
-        node_budget=None, budget_ms=None, progress=None,
-    )
+    """Counts and nodes of the depth-first walk on the PrefixIndex block
+    test (search._SearchWord) at every order, the reference engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_KeyWord", search._SearchWord)
+        res = search._dfs(
+            k, m, p, n_max, stop_at_cap=False, symmetry=symmetry,
+            node_budget=None, budget_ms=None, progress=None,
+        )
     assert not res.aborted
-    return tuple(res.counts), res.nodes
+    return tuple(res.counts) + (0,) * (n_max - len(res.counts)), res.nodes
+
+
+def block_test_search(k: int, m: int, p: int, cap: int, **opts) -> SearchCertificate:
+    """longest_avoiding on the PrefixIndex block test at every order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_KeyWord", search._SearchWord)
+        return longest_avoiding(k, m, p, cap, **opts)
 
 
 def batched_count(k: int, m: int, p: int, n_max: int, symmetry: bool = False):
@@ -256,27 +266,36 @@ class TestBatchedCount:
         assert len(_key_plan(5, 2, 9)) == 2
         assert batched_count(5, 2, p, 9) == dfs_count(5, 2, p, 9)
 
+    # negative controls on the child test that the count and the order-1/2
+    # search share, each caught in both against the references; the search
+    # witness re-check is switched off, or it would reject the false survivors
     def test_skipping_the_longest_period_is_caught(self, monkeypatch):
-        # negative control: never test the period n // p
-        targets = search._power_targets
+        # never test the period n // p: hist without its first n % p + 1
+        # keys leaves the child's last n // p - 1 periods
+        children = search._children
 
-        def mutant(hist, p):
-            target, agree = targets(hist, p)
-            return target[..., :-1], [same[..., :-1] for same in agree]
+        def mutant(hist, step, p):
+            n = hist.shape[2]
+            return children(hist[:, :, n % p + 1 :] if n >= p else hist, step, p)
 
-        monkeypatch.setattr(search, "_power_targets", mutant)
+        monkeypatch.setattr(search, "_children", mutant)
+        monkeypatch.setattr(search, "is_power_free", lambda *args: True)
         for k, m, p, n_max in ((2, 2, 3, 9), (3, 1, 2, 7), (2, 2, 4, 9)):
             assert count_avoiding(k, m, p, n_max).counts != oracle_counts(k, m, p, n_max)
+            assert longest_avoiding(k, m, p, 40) != block_test_search(k, m, p, 40)
 
     def test_first_key_alone_is_caught(self, monkeypatch):
-        # negative control: a two-key plan tested on keys[0] only
-        growth = search._key_growth
+        # a two-key plan whose children are tested on keys[0] only
+        children = search._children
 
-        def first_key(k, m, n):
-            return tuple(x[:1] for x in growth(k, m, n))
+        def first_key(hist, step, p):
+            return children(hist, step, p)[0], children(hist[:, :1], step[..., :1], p)[1]
 
-        monkeypatch.setattr(search, "_key_growth", first_key)
+        monkeypatch.setattr(search, "_children", first_key)
+        monkeypatch.setattr(search, "is_power_free", lambda *args: True)
         assert batched_count(5, 2, 2, 9) != dfs_count(5, 2, 2, 9)
+        assert len(_key_plan(3, 2, 300)) == 2
+        assert longest_avoiding(3, 2, 2, 300) != block_test_search(3, 2, 2, 300)
 
     def test_orders_three_and_four_walk_depth_first(self, monkeypatch):
         monkeypatch.setattr(search, "_count_batched", None)
@@ -381,16 +400,19 @@ class TestCrossChecks:
 
 @pytest.mark.parametrize("k, m", [(1, 2), (2, 1), (3, 2), (4, 2), (3, 3), (2, 4)])
 def test_search_word_keeps_the_columns_it_reads(k, m):
-    # at m <= 2 the suffix test reads only the letter columns (to write its
-    # prefix keys), so the search word keeps and pushes only those
-    w = search._SearchWord(k, m, 60)
-    kept = k if m <= 2 else len(index_words(k, m))
+    # through pushes and pops, the search word keeps what its suffix test
+    # reads: at m <= 2 the int64 keys of every prefix it pushed onto (the
+    # scan's keys, planned for its cap), at m > 2 every signature column
     letters = [(i * i + i // 3) % k for i in range(40)]
+    w = (search._KeyWord if m <= 2 else search._SearchWord)(k, m, 2, len(letters))
     for n, a in enumerate(letters, 1):
         w._push(a)
-        w.power_ends_at_last(2)
+        w.power_ends_at_last()
         if n % 7 == 0:
             w._pop()
             w._push(a)
-    assert len(w._cols) == kept
-    assert w._cols == PrefixIndex(Word(tuple(letters), Alphabet(k)), m)._cols[:kept]
+    wd = Word(tuple(letters), Alphabet(k))
+    if m <= 2:
+        assert (w._keys[:, : len(w)] == _scan_keys(wd, m)[:, : len(w)]).all()
+    else:
+        assert w._cols == PrefixIndex(wd, m)._cols

@@ -4,9 +4,9 @@ perfbench/spans.py patches bindings by name (class attributes such as
 PrefixIndex.blocks_equivalent, module copies such as search.is_power_free).
 A refactor that renames or bypasses one of them breaks `--trace 1` without
 failing any other test, so this module loads spans.py by path, unedited,
-and checks that every row resolves, that a traced search still counts its
-python suffix tests through the class attribute, and that every binding
-is restored afterwards.
+and checks that every row resolves, that a traced order-3 search still
+counts its python suffix tests through the class attribute, and that every
+binding is restored afterwards.
 """
 
 import importlib.util
@@ -38,15 +38,22 @@ def test_every_patched_binding_resolves(spans):
 
 
 def test_traced_search_counts_and_restores(spans):
+    # an order-2 search tests children on int64 keys, with no block test;
+    # an order-3 search asks PrefixIndex.blocks_equivalent at every period
     before = bindings(spans)
     tracer = spans.Tracer()
-    # cap 300 passes search._NUMPY_DEPTH, so both suffix tests run
     with spans.tracing(binwords, tracer):
         cert = binwords.search.longest_avoiding(3, 2, 2, 300)
     assert cert.outcome == "cap_reached"
     metrics = spans.pass_metrics(tracer.names, tracer.drain())
-    assert metrics["words.blocks_equivalent.calls"] == 10_493
+    assert metrics["words.blocks_equivalent.calls"] == 0
     assert metrics["search.nodes"] == 666
+    with spans.tracing(binwords, tracer):
+        cert = binwords.search.longest_avoiding(3, 3, 2, 40)
+    assert cert.outcome == "cap_reached"
+    metrics = spans.pass_metrics(tracer.names, tracer.drain())
+    assert metrics["words.blocks_equivalent.calls"] == 893
+    assert metrics["search.nodes"] == 82
     assert all(a is b for a, b in zip(bindings(spans), before, strict=True))
 
 

@@ -1,7 +1,8 @@
 """The packed keys: their bounds as code, the two writers against each
 other, the numpy kernel against the naive oracle with a negative control;
-then the same key test at deep nodes of the search word
-(search._SearchWord), against signatures of its last blocks.
+then the same keys in the order-1/2 search word (search._KeyWord), whose
+child test is checked against signatures of its last blocks and whose
+searches are checked against the PrefixIndex word (search._SearchWord).
 
 words._key_plan lays out the prefix counts of letters 0..k-2 and, at order
 2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of each
@@ -58,6 +59,12 @@ def field_bounds(n, b):
     if b < 0:
         return n, n, n
     return d_bound(n), d_bound(n), 2 * d_bound(n)
+
+
+def split_key(key, count):
+    """The first count int64 keys of a prefix key, lowest first."""
+    mask = (1 << 62) - 1
+    return [key >> 62 * g & mask for g in range(count)]
 
 
 def unpack(key, group, signed=True):
@@ -130,7 +137,7 @@ def check_round_trip(k, n):
             index = PrefixIndex([c for c, r in runs for _ in range(r)], 2, alphabet=k)
             index._sync_keys()
             assert index._keys[n] == key
-        slices = words._split_key(key, len(plan))
+        slices = split_key(key, len(plan))
         assert key == sum(s << 62 * g for g, s in enumerate(slices))
         for part, group in zip(slices, plan):
             np.int64(part)  # raises OverflowError outside int64
@@ -279,11 +286,10 @@ def test_one_letter_words(m, p):
         occ = find_power(letters, m, p, alphabet=1, engine="vector")
         got = None if occ is None else (occ.start, occ.period)
         assert got == naive_find_power(letters, m, p, 1)
-    w = search._SearchWord(1, m, 16)
-    w.deep = 0
+    w = search._KeyWord(1, m, p, 16)
     for n in range(1, 17):
         w._push(0)
-        assert w.power_ends_at_last(p) == ends_with_power([0] * n, m, p, 1)
+        assert w.power_ends_at_last() == ends_with_power([0] * n, m, p, 1)
 
 
 # ---------------------------------------------------------------- the two writers
@@ -311,9 +317,9 @@ def test_prefix_key_slices_match_the_scan_keys(k):
             index._sync_keys()
             plan = words._key_plan(k, m, n)
             scan = detect._scan_keys(word(letters, k), m)
-            bias = words._split_key(index._keys[0], len(plan))
+            bias = split_key(index._keys[0], len(plan))
             for i, key in enumerate(index._keys):
-                parts = words._split_key(key, len(plan))
+                parts = split_key(key, len(plan))
                 for part, base, got, group in zip(parts, bias, scan[:, i], plan):
                     fields = unpack(part, group, signed=False)
                     bias_fields = unpack(base, group, signed=False)
@@ -329,19 +335,16 @@ def test_keys_past_the_planned_bound_are_refused():
     with pytest.raises(InvalidInputError):
         index.blocks_equivalent(0, 1, 2)
     assert index._keys == []
-    for deep in (0, 9):
-        w = search._SearchWord(2, 2, 8)
-        w.deep = deep
-        for a in (0, 0, 1, 0, 1, 1, 0, 1):
-            w._push(a)
-        assert not w.power_ends_at_last(3)
+    w = search._KeyWord(2, 2, 3, 8)
+    for a in (0, 0, 1, 0, 1, 1, 0, 1):
+        w._push(a)
+    assert not w.power_ends_at_last()
+    with pytest.raises(InvalidInputError):
         w._push(1)
-        with pytest.raises(InvalidInputError):
-            w.power_ends_at_last(3)
-        assert len(w._keys) == 9
+    assert len(w) == 8
 
 
-# ---------------------------------------------------------------- deep search nodes
+# ---------------------------------------------------------------- the search word
 
 SEARCH_WORD_CAP = 4 * MAX_LEN  # longest script: four segments
 
@@ -349,8 +352,8 @@ SEARCH_WORD_CAP = 4 * MAX_LEN  # longest script: four segments
 @st.composite
 def regrown_words(draw):
     """A push/pop script over k <= 4 letters: a mutated g/h factor or a
-    random word, then a few rounds of popping some letters (possibly below
-    the depth where numpy takes over) and pushing new ones."""
+    random word, then a few rounds of popping some letters, below prefixes
+    whose children were already tested, and pushing new ones."""
     if draw(st.booleans()):
         first, k = draw(mutated_factors())
     else:
@@ -376,53 +379,41 @@ def suffix_power(letters, m, p, k):
 
 
 @settings(max_examples=200)
-@given(
-    regrown_words(),
-    st.sampled_from([1, 2]),
-    st.sampled_from([2, 3, 4]),
-    st.integers(0, MAX_LEN),
-)
-def test_search_word_suffix_test_matches_python(script, m, p, deep):
-    # replay the script on two search words in lockstep, as the search
-    # does: one runs numpy at depths >= deep, the other python only; both
-    # read the prefix key, so each is compared with block signatures
+@given(regrown_words(), st.sampled_from([1, 2]), st.sampled_from([2, 3, 4]))
+def test_search_word_suffix_test_matches_python(script, m, p):
+    # replay the script on the key word and the PrefixIndex word in
+    # lockstep, as the search does, asking both after every push and pop;
+    # each is compared with block signatures
     k, segments = script
-    pair = [search._SearchWord(k, m, SEARCH_WORD_CAP) for _ in range(2)]
-    vector, python = pair
-    vector.deep = deep
-    python.deep = SEARCH_WORD_CAP + 1
+    pair = [make(k, m, p, SEARCH_WORD_CAP) for make in (search._KeyWord, search._SearchWord)]
+    keys = pair[0]
     for drop, grow in segments:
-        for _ in range(min(drop, len(vector))):
+        for a in [None] * min(drop, len(keys)) + grow:  # None pops
             for w in pair:
-                w._pop()
-        for a in grow:
-            for w in pair:
-                w._push(a)
-            if len(vector) >= deep:
-                want = suffix_power(vector._letters, m, p, k)
-                assert vector.power_ends_at_last(p) == want
-                assert python.power_ends_at_last(p) == want
+                if a is None:
+                    w._pop()
+                else:
+                    w._push(a)
+            if len(keys):
+                want = suffix_power(keys._letters, m, p, k)
+                assert [w.power_ends_at_last() for w in pair] == [want, want]
 
 
 def test_search_word_without_stage_two_is_caught(monkeypatch, fresh_key_steps):
-    # negative control: order 2 decided by letter counts alone, in the
-    # prefix key and in the plan the search word sizes its numpy copies from
+    # negative control: order 2 decided by letter counts alone, in the key
+    # word's int64 keys and in the PrefixIndex word's prefix key
+    monkeypatch.setattr(detect, "_key_plan", letters_only)
     monkeypatch.setattr(words, "_key_plan", letters_only)
-    monkeypatch.setattr(search, "_key_plan", letters_only)
     with pytest.raises(AssertionError):
         test_search_word_suffix_test_matches_python()
 
 
-@pytest.mark.parametrize(
-    "k,m,cap,keys,deep",
-    [(2, 2, 2000, 1, 192), (3, 2, 2000, 2, 192), (3, 1, 2000, 1, 192), (6, 2, 500, 6, 192),
-     (7, 2, 500, 8, 192), (8, 2, 500, 11, 192), (8, 2, 2000, 16, 192), (3, 3, 2000, None, 2001)],
-)
-def test_numpy_depth_follows_the_key_count(k, m, cap, keys, deep):
-    # the int64 keys are slices of the prefix key, so with up to 16 keys
-    # numpy takes over at depth 192 (sweep in CHANGES.md); order 3 never does
-    w = search._SearchWord(k, m, cap)
-    assert (len(w.keys) if m <= 2 else None, w.deep) == (keys, deep)
+def test_stale_flags_are_caught(monkeypatch):
+    # negative control: a key word whose _pop keeps the flags of the
+    # prefixes it cut, so a regrown word reads its old children's flags
+    monkeypatch.setattr(search._KeyWord, "_pop", lambda self: self._letters.pop())
+    with pytest.raises(AssertionError):
+        test_search_word_suffix_test_matches_python()
 
 
 SEARCH_CASES = [
@@ -436,13 +427,16 @@ SEARCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("deep", [0, 5])
+@pytest.mark.parametrize("node_budget", [0, 5, 10, 1000, None])
 @pytest.mark.parametrize("k,m,p,cap,symmetry", SEARCH_CASES)
-def test_search_with_numpy_from_shallow_depths(monkeypatch, k, m, p, cap, symmetry, deep):
+def test_search_with_numpy_from_shallow_depths(monkeypatch, k, m, p, cap, symmetry, node_budget):
+    # the order-1/2 search tests children on numpy keys from depth 1 on; its
+    # whole certificate (outcome, witness, partial counts, nodes) is the
+    # PrefixIndex word's, run through the same walk, also when a node
+    # budget aborts it
     def run():
-        return longest_avoiding(k, m, p, cap, symmetry=symmetry).to_dict()
+        return longest_avoiding(k, m, p, cap, symmetry=symmetry, node_budget=node_budget).to_dict()
 
-    monkeypatch.setattr(search, "_NUMPY_DEPTH", cap + 1)
-    python = run()
-    monkeypatch.setattr(search, "_NUMPY_DEPTH", deep)
-    assert run() == python
+    got = run()
+    monkeypatch.setattr(search, "_KeyWord", search._SearchWord)
+    assert got == run()
