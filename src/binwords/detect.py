@@ -10,8 +10,12 @@ minimal period, scanning candidates in that order.  Two engines share the
 semantics: a pure Python scan over PrefixIndex block tests, and a numpy
 scan (orders 1 and 2) that vectorizes each period over all starts.  At
 orders 1 and 2 both compare differences of the packed keys of
-words._key_plan, the numpy scan as int64 keys (_scan_keys).  Results are
-cross-verified by independent signature recomputation.
+words._key_plan, the numpy scan as int64 keys (_scan_keys) in two stages:
+a uint16 fingerprint of every field, linear mod 2**16, at every start,
+then the exact keys on its survivors.  Equal key differences give equal
+fingerprint differences, so the screen drops no occurrence, and a
+fingerprint collision only adds work to the exact stage, which decides.
+Results are cross-verified by independent signature recomputation.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .words import (
 _VECTOR_MIN_LEN = 64
 # below it every _key_plan field fits one 62-bit key: tests/test_vector.py
 _VECTOR_MAX_LEN = 2**31
+# odd, about 2**16 / the golden ratio: the fingerprint's multipliers are its odd multiples
+_FINGERPRINT_STEP = 0x9E37
 
 
 @dataclass(frozen=True)
@@ -127,39 +133,51 @@ def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return None
 
 
-def _key_growth(k: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _key_growth(
+    k: int, m: int, n: int, fingerprint: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """What appending letter c adds to int64 key g of words._key_plan, D
     fields signed: unit[g, c] plus the sum over a of weight[g, c, a] * A_a,
     where A_a counts the letters a before c.  D_ab gains A_a when b is
-    appended and loses A_b when a is."""
+    appended and loses A_b when a is.  With fingerprint, one more row
+    follows the keys: the sum over the plan's fields f, every key's, of
+    r_f * field_f, with r_f = (2f + 1) * _FINGERPRINT_STEP mod 2**16 odd."""
     plan = _key_plan(k, m, n)
-    unit = np.zeros((len(plan), k), np.int64)
-    weight = np.zeros((len(plan), k, k), np.int64)
-    for g, fields in enumerate(plan):
-        for a, b, offset, _ in fields:
+    rows = [[(a, b, 1 << offset) for a, b, offset, _ in fields] for fields in plan]
+    if fingerprint:
+        every = [(a, b) for fields in plan for a, b, _, _ in fields]
+        rows.append(
+            [(a, b, (2 * f + 1) * _FINGERPRINT_STEP % 2**16) for f, (a, b) in enumerate(every)]
+        )
+    unit = np.zeros((len(rows), k), np.int64)
+    weight = np.zeros((len(rows), k, k), np.int64)
+    for g, fields in enumerate(rows):
+        for a, b, r in fields:
             if b < 0:
-                unit[g, a] = 1 << offset
+                unit[g, a] = r
             else:
-                weight[g, b, a] = 1 << offset
-                weight[g, a, b] = -(1 << offset)
+                weight[g, b, a] = r
+                weight[g, a, b] = -r
     return unit, weight
 
 
-def _scan_keys(wd: Word, m: int) -> np.ndarray:
+def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The int64 keys of words._key_plan at every prefix of wd, D fields
-    signed: each key is the cumulative sum of what each letter adds to it."""
+    signed, and their uint16 fingerprint (_key_growth): each row is the
+    cumulative sum of what each letter adds to it.  The fingerprint's int64
+    sum may wrap, which keeps it exact mod 2**64 and so mod 2**16."""
     n, k = len(wd), wd.alphabet.size
     letters = np.asarray(wd.letters, dtype=np.int64)
     counts = np.zeros((k, n + 1), np.int64)
     np.cumsum(letters == np.arange(k)[:, None], axis=1, out=counts[:, 1:])
-    unit, weight = _key_growth(k, m, n)
-    keys = np.zeros((len(unit), n + 1), np.int64)
-    for key, u, w in zip(keys, unit, weight):
+    unit, weight = _key_growth(k, m, n, fingerprint=True)
+    sums = np.zeros((len(unit), n + 1), np.int64)
+    for row, u, w in zip(sums, unit, weight):
         grow = u[letters]
         for a in range(k):
             grow += w[letters, a] * counts[a, :n]
-        np.cumsum(grow, out=key[1:])
-    return keys
+        np.cumsum(grow, out=row[1:])
+    return sums[:-1], sums[-1].astype(np.uint16)
 
 
 def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarray:
@@ -177,15 +195,17 @@ def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarr
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
-    """Period-major scan on the packed keys of _key_plan: keys[0] is
-    compared at every start, the other keys on its survivors only.  The
-    winner in (start, period) order is kept across periods; only strictly
-    smaller starts can improve it, so the scanned start range shrinks as
-    hits accumulate.
+    """Period-major scan in two stages.  The uint16 fingerprint is compared
+    at every start of a period at once; every int64 key, on its survivors
+    only.  The fingerprint is linear in the fields mod 2**16, so blocks
+    with equal field differences have equal fingerprint differences and no
+    occurrence is screened out; a collision only passes a start on to the
+    exact keys, which decide.  The winner in (start, period) order is kept
+    across periods; only strictly smaller starts can improve it, so the
+    scanned start range shrinks as hits accumulate.
     """
     n = len(wd)
-    keys = _scan_keys(wd, m)
-    key = keys[0]
+    keys, fingerprint = _scan_keys(wd, m)
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
         smax = n - p * t + 1
@@ -194,12 +214,12 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         if smax <= 0:
             break
         budget.tick(smax)
-        counts = key[t : p * t + smax] - key[: (p - 1) * t + smax]
+        counts = fingerprint[t : p * t + smax] - fingerprint[: (p - 1) * t + smax]
         base = counts[:smax]
         valid = counts[t : t + smax] == base
         for j in range(2, p):
             valid &= counts[j * t : j * t + smax] == base
-        hits = _survivors(keys[1:], valid.nonzero()[0], t, p)
+        hits = _survivors(keys, valid.nonzero()[0], t, p)
         if hits.size:
             # smax <= best[0], so any hit improves the winner
             best = (int(hits[0]), t)

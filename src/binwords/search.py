@@ -312,6 +312,8 @@ def _count_batched(
     A child's keys are its parent's last keys plus its letter's step, and
     one numpy pass tests every child at every period on every key."""
     budget = _start(k, m, p, n_max, node_budget, budget_ms)
+    if n_max >= _VECTOR_MAX_LEN:  # the int64 keys hold shorter words only
+        raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN} at orders 1 and 2")
     unit, weight = _key_growth(k, m, n_max)
     n_keys = len(unit)
     # grow[a, c] is what one more letter a adds to letter c's step
@@ -321,8 +323,7 @@ def _count_batched(
     rows = np.arange(k + 1)[:, None]
     tops_of = np.maximum(rows, np.arange(1, k + 1))
     units_of = np.array(_orbit_weights(k, symmetry))[tops_of] * (np.arange(k) <= rows)
-    counts = [0] * n_max
-    deepest = 0
+    counts: list[int] = []
     # a batch: per parent its keys at every prefix, its top and its steps,
     # step[i, c] = what appending c adds to its last keys
     stack = [(np.zeros((1, n_keys, 1), np.int64), np.zeros(1, np.int64), unit.T[None])]
@@ -342,11 +343,12 @@ def _count_batched(
             alive = units * ~hit
             parent, letter = alive.nonzero()
             if parent.size:
-                counts[n - 1] += int(alive.sum())
-                if n > deepest:
-                    deepest = n
+                if n > len(counts):  # the first survivors of this depth
+                    counts.append(int(alive.sum()))
                     if progress is not None:
                         progress(n, budget.units, counts[n - 1])
+                else:
+                    counts[n - 1] += int(alive.sum())
                 if n < n_max:
                     for i in reversed(range(0, len(parent), _BATCH)):
                         up, a = parent[i : i + _BATCH], letter[i : i + _BATCH]

@@ -253,6 +253,18 @@ class TestSearchAndCount:
         assert code == 3
         assert "budget" in err
 
+    def test_count_past_the_int64_keys_exit_two(self, capsys):
+        # an order-1/2 count keeps int64 keys, which hold words shorter than
+        # detect._VECTOR_MAX_LEN; a longer n_max is refused before any table
+        # of n_max counts is allocated
+        code, out, err = run(
+            capsys,
+            "count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "1000000000000",
+            "--node-budget", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == "binwords: n_max must be below 2147483648 at orders 1 and 2\n"
+
     def test_count_symmetry(self, capsys):
         code, out, _ = run(
             capsys,

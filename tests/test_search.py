@@ -413,6 +413,6 @@ def test_search_word_keeps_the_columns_it_reads(k, m):
             w._push(a)
     wd = Word(tuple(letters), Alphabet(k))
     if m <= 2:
-        assert (w._keys[:, : len(w)] == _scan_keys(wd, m)[:, : len(w)]).all()
+        assert (w._keys[:, : len(w)] == _scan_keys(wd, m)[0][:, : len(w)]).all()
     else:
         assert w._cols == PrefixIndex(wd, m)._cols

@@ -11,11 +11,17 @@ differences iff they have equal count(ab), so p blocks are equivalent iff
 their key differences agree: one equal-differences test for orders 1 and
 2.  PrefixIndex keeps one Python int per prefix, its D fields biased so
 that every int64 key is a bit slice of it; the numpy scan
-(detect._scan_keys) writes the same keys with D signed.  The first key is
-compared at every start, the others on its survivors only.  Words are
-drawn from factors of the g and h fixed points, which are free of
-2-binomial squares and cubes, so abelian survivors exist and occurrences,
-if any, sit late.
+(detect._scan_keys) writes the same keys with D signed, and beside them a
+uint16 fingerprint, the sum over every field f of r_f * field_f mod 2**16
+with r_f odd.  The scan compares the fingerprint at every start and all
+int64 keys on its survivors only: equal field differences give equal
+fingerprint differences, so the screen drops no occurrence, and a
+collision only passes a start on to the exact keys, which decide.  Two
+negative controls pin that split: an all-zero fingerprint leaves the
+answers right, and a narrow fingerprint trusted alone gets them wrong.
+Words are drawn from factors of the g and h fixed points, which are free
+of 2-binomial squares and cubes, so abelian survivors exist and
+occurrences, if any, sit late.
 """
 
 import itertools
@@ -210,11 +216,14 @@ class TestPackingBound:
             assert (np.triu(diff) <= bound).all()
             assert diff.max() == d_bound(8) == d[w.tolist().index([a] * 4 + [b] * 4), 8]
 
-    @pytest.mark.parametrize("n", [511, 512])
+    @pytest.mark.parametrize("n", [511, 512, 1500, 2000])
     def test_scan_on_both_sides_of_the_k8_edge(self, n):
         # a g factor renamed onto the top letters 5, 6, 7, then the
         # 2-binomial square 6776 7667: letter 6 does not fit the first key
-        # at n = 511 (7 fields of 9 bits), and its pairs sit in later keys
+        # at n = 511 (6 of 7 fields of 9 bits fit), nor letters 5 and 6 at
+        # n = 1500 and 2000 (5 fields of 11 bits fit), and their pairs sit in later keys
+        first_key = words._key_plan(8, 2, n)[0]
+        assert (6, -1) not in [f[:2] for f in first_key]
         g = fixed_point_prefix(PRESETS["g"].morphism, 0, n - 8).letters
         letters = [5 + a for a in g] + [6, 7, 7, 6, 7, 6, 6, 7]
         vector = find_power(letters, 2, 2, alphabet=8, engine="vector")
@@ -277,6 +286,88 @@ def test_skipping_stage_two_is_caught(monkeypatch):
         test_vector_kernel_matches_oracle()
 
 
+def with_fingerprint(monkeypatch, change):
+    """Patch the scan to read change(fingerprint) for its fingerprint."""
+    scan = detect._scan_keys
+
+    def patched(wd, m):
+        keys, fingerprint = scan(wd, m)
+        return keys, change(fingerprint)
+
+    monkeypatch.setattr(detect, "_scan_keys", patched)
+
+
+def test_exact_stage_decides_alone(monkeypatch):
+    # control: an all-zero fingerprint passes every start on to the exact
+    # keys, and the answers stay the oracle's on random factors and on the
+    # g and h prefixes, free or not
+    with_fingerprint(monkeypatch, np.zeros_like)
+    test_vector_kernel_matches_oracle()
+    for name, k in (("g", 3), ("h", 2)):
+        letters = fixed_point_prefix(PRESETS[name].morphism, 0, 48).letters
+        for m, p in itertools.product((1, 2), (2, 3)):
+            occ = find_power(letters, m, p, alphabet=k, engine="vector")
+            got = None if occ is None else (occ.start, occ.period)
+            assert got == naive_find_power(letters, m, p, k)
+
+
+def test_trusting_the_fingerprint_is_caught(monkeypatch):
+    # negative control: a 2-bit fingerprint, whose collisions are certain,
+    # trusted without the exact keys; find_power's recomputation is
+    # switched off too, as in test_skipping_stage_two_is_caught
+    with_fingerprint(monkeypatch, lambda fingerprint: fingerprint & 3)
+    monkeypatch.setattr(detect, "_survivors", lambda keys, starts, t, p: starts)
+    monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_oracle()
+
+
+def test_fingerprint_is_linear_mod_2_16():
+    # g at n = 20000, whose fingerprint sums run far past 2**16 on both
+    # sides of 0: at every prefix the uint16 fingerprint is the sum of
+    # r_f * field_f mod 2**16 over the plan's fields, from A_a and D_ab
+    # recomputed in Python ints; so blocks of one length with equal
+    # differences on every int64 key have equal uint16 differences
+    n, k = 20000, 3
+    wd = fixed_point_prefix(PRESETS["g"].morphism, 0, n)
+    keys, fingerprint = detect._scan_keys(wd, 2)
+    fields = [f[:2] for group in words._key_plan(k, 2, n) for f in group]
+    assert len(fields) == 5
+    r = [(2 * f + 1) * detect._FINGERPRINT_STEP % 2**16 for f in range(len(fields))]
+    assert all(x % 2 for x in r)
+    counts, pairs = [0] * k, [[0] * k for _ in range(k)]
+    sums = []
+    for i in range(n + 1):
+        values = [counts[a] if b < 0 else pairs[a][b] - pairs[b][a] for a, b in fields]
+        sums.append(sum(x * v for x, v in zip(r, values)))
+        if i < n:
+            c = wd.letters[i]
+            for a in range(k):
+                pairs[a][c] += counts[a]
+            counts[c] += 1
+    assert min(sums) < -(2**24) and max(sums) > 2**24  # hundreds of wraps
+    assert fingerprint.dtype == np.uint16
+    assert fingerprint.tolist() == [x % 2**16 for x in sums]
+    for t in (7, 100, 4321, 10000):
+        diffs = keys[:, t:] - keys[:, :-t]
+        _, group = np.unique(diffs, axis=1, return_inverse=True)
+        group = group.ravel()
+        assert np.bincount(group).max() > 1
+        fdiff = fingerprint[t:] - fingerprint[:-t]
+        assert fdiff.dtype == np.uint16
+        first = np.zeros(group.max() + 1, np.uint16)
+        first[group] = fdiff
+        assert (first[group] == fdiff).all()
+    # the casts the scan relies on: int64 sums wrap mod 2**64, and the
+    # uint16 cast and subtraction wrap mod 2**16
+    big = np.array([2**62, 2**62, -(2**62) - 7, -1], np.int64)
+    assert np.cumsum(big).astype(np.uint16).tolist() == [
+        sum(big.tolist()[: i + 1]) % 2**16 for i in range(4)
+    ]
+    low = np.array([3, 65535], np.uint16)
+    assert (low[:1] - low[1:]).tolist() == [4]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_one_letter_words(m, p):
@@ -316,7 +407,7 @@ def test_prefix_key_slices_match_the_scan_keys(k):
             index = PrefixIndex(letters, m, alphabet=k)
             index._sync_keys()
             plan = words._key_plan(k, m, n)
-            scan = detect._scan_keys(word(letters, k), m)
+            scan, _ = detect._scan_keys(word(letters, k), m)
             bias = split_key(index._keys[0], len(plan))
             for i, key in enumerate(index._keys):
                 parts = split_key(key, len(plan))
