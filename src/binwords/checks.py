@@ -43,7 +43,9 @@ from itertools import chain, product
 from math import comb
 from typing import Callable, Optional
 
-from .detect import find_power
+import numpy as np
+
+from .detect import _scan_keys, _survivors, find_power
 from .errors import Budget, BudgetExceededError, InvalidInputError
 from .morphisms import (
     Morphism,
@@ -228,15 +230,15 @@ def _desubstitution(run: _Run, scan_len: int, max_len: int, fault: bool) -> None
     hay_len = max(scan_len * 10, scan_len + max_len)
     prefix = fixed_point_prefix(gen, 0, scan_len)
     hay = str(fixed_point_prefix(gen, 0, hay_len))
-    pidx = PrefixIndex(prefix, 1)
+    keys, _ = _scan_keys(prefix, 1)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     both_cases = 0
     lam_checked = 0
     for half in range(1, max_len // 2 + 1):
-        for i in range(0, scan_len - 2 * half + 1):
-            run.tick()
-            if not pidx.blocks_equivalent(i, half, 2):
-                continue
+        starts = np.arange(scan_len - 2 * half + 1)
+        run.tick(starts.size)
+        # the abelian squares of this half length, by the scan's exact key test
+        for i in _survivors(keys, starts, half, 2).tolist():
             mid = i + half
             u = prefix[i:mid]
             v = prefix[mid : mid + half]

@@ -6,15 +6,16 @@ cubes).  Ordinary powers are the special case of equal blocks, and the
 m = 1 case is abelian powers; one code path covers all of them.
 
 `find_power` reports the occurrence with minimal start, ties broken by
-minimal period, scanning candidates in that order.  Two engines share the
-semantics: a pure Python scan over PrefixIndex block tests, and a numpy
-scan (orders 1 and 2) that vectorizes each period over all starts.  At
-orders 1 and 2 both compare differences of the packed keys of
-words._key_plan, the numpy scan as int64 keys (_scan_keys) in two stages:
-a uint16 fingerprint of every field, linear mod 2**16, at every start,
-then the exact keys on its survivors.  Equal key differences give equal
-fingerprint differences, so the screen drops no occurrence, and a
-fingerprint collision only adds work to the exact stage, which decides.
+minimal period, scanning candidates in that order.  Two independent
+engines share the semantics.  The python engine asks PrefixIndex block
+tests, which compare letter counts and then factor signatures.  The numpy
+engine (orders 1 and 2) vectorizes each period over all starts on the
+int64 keys of _key_plan (_scan_keys) in two stages: a uint16 fingerprint
+of every field, linear mod 2**16, at every start, then the exact keys on
+its survivors.  Equal key differences give equal fingerprint differences,
+so the screen drops no occurrence, and a fingerprint collision only adds
+work to the exact stage, which decides.  The numpy engine runs on words of
+_VECTOR_MIN_LEN letters and up, where its per-call cost pays off.
 Results are cross-verified by independent signature recomputation.
 """
 
@@ -35,14 +36,15 @@ from .words import (
     WordLike,
     _check_order,
     _check_power,
-    _key_plan,
     signature,
     word,
 )
 
+# below it the python engine is faster: a numpy scan's fixed cost per call outweighs its work
 _VECTOR_MIN_LEN = 64
-# below it every _key_plan field fits one 62-bit key: tests/test_vector.py
+# below it every _key_plan field fits one _KEY_BITS key: tests/test_vector.py
 _VECTOR_MAX_LEN = 2**31
+_KEY_BITS = 62  # per int64 key, so keys and their differences fit int64
 # odd, about 2**16 / the golden ratio: the fingerprint's multipliers are its odd multiples
 _FINGERPRINT_STEP = 0x9E37
 
@@ -133,10 +135,40 @@ def _find_python(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     return None
 
 
+def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, int, int, int]]]:
+    """The int64 keys of the order-m block test (m <= 2) on words of length
+    <= n, per key its (a, b, offset, width) fields: the prefix counts A_a of
+    letters a < k-1 (b = -1), then at order 2 D_ab = |prefix|_ab -
+    |prefix|_ba for a < b; appending c adds A_a to D_ac, subtracts A_b from D_cb.
+
+    Blocks u of one length are equivalent iff these fields have equal
+    differences: the last letter's count is |u| minus the others, count(aa)
+    = C(|u|_a, 2), count(ba) = |u|_a |u|_b - count(ab), and over u = w[s:e)
+    D_ab(e) - D_ab(s) = 2 count(u, ab) - |u|_a |u|_b + A_a(s) |u|_b - A_b(s) |u|_a,
+    whose last three terms agree for consecutive blocks with equal letter
+    counts.  A field spans the largest gap between two block differences, n
+    or n*n // 2 (D's lie in [-n*n // 4, n*n // 4]), and a key at most
+    _KEY_BITS bits (tests/test_vector.py).
+    """
+    fields = [(a, -1) for a in range(k - 1)]
+    if m == 2:
+        fields.extend((a, b) for a in range(k) for b in range(a + 1, k))
+    plan: list[list[tuple[int, int, int, int]]] = [[]]
+    used = 0
+    for a, b in fields:
+        width = (n if b < 0 else n * n // 2).bit_length()
+        if used + width > _KEY_BITS:
+            plan.append([])
+            used = 0
+        plan[-1].append((a, b, used, width))
+        used += width
+    return plan
+
+
 def _key_growth(
     k: int, m: int, n: int, fingerprint: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """What appending letter c adds to int64 key g of words._key_plan, D
+    """What appending letter c adds to int64 key g of _key_plan, D
     fields signed: unit[g, c] plus the sum over a of weight[g, c, a] * A_a,
     where A_a counts the letters a before c.  D_ab gains A_a when b is
     appended and loses A_b when a is.  With fingerprint, one more row
@@ -162,7 +194,7 @@ def _key_growth(
 
 
 def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 keys of words._key_plan at every prefix of wd, D fields
+    """The int64 keys of _key_plan at every prefix of wd, D fields
     signed, and their uint16 fingerprint (_key_growth): each row is the
     cumulative sum of what each letter adds to it.  The fingerprint's int64
     sum may wrap, which keeps it exact mod 2**64 and so mod 2**16."""

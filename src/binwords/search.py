@@ -7,7 +7,7 @@ contains a power iff some prefix contains one ending at its own last
 position.  Depth first, the search word grows and shrinks one letter at a
 time and owns that test: at orders 3 and 4 it is a PrefixIndex asking
 O(length / p) block comparisons, at orders 1 and 2 a numpy test of int64
-keys.
+keys, against which the tests run the key-free PrefixIndex word.
 
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
@@ -28,9 +28,11 @@ keys are its parent's last keys plus its letter's step, and one numpy test
 (_children) checks all children of a batch, or of the search word's last
 prefix (_KeyWord), at every period.  Survivors go back on a stack of
 batches, so the pending key histories stay within about n_max * k *
-_BATCH rows.  A count's budget is ticked per batch, and child by child in
-a batch that would pass a unit cap, so it aborts on the same node every
-run; progress is reported when a batch first reaches a depth, in batch order.
+_BATCH rows.  A count holds one count per length and refuses n_max >=
+detect._VECTOR_MAX_LEN at every order.  Its budget is ticked per batch,
+and child by child in a batch that would pass a unit cap, so it aborts on
+the same node every run; progress is reported when a batch first reaches a
+depth, in batch order.
 """
 
 from __future__ import annotations
@@ -142,11 +144,12 @@ def _children(hist: np.ndarray, step: np.ndarray, p: int) -> tuple[np.ndarray, n
 
 class _SearchWord(PrefixIndex):
     """The search word at orders 3 and 4, a PrefixIndex asking its block
-    test at every period; at orders 1 and 2 the tests' reference for _KeyWord."""
+    test at every period; at orders 1 and 2 the tests' reference for
+    _KeyWord, on letter counts and signatures, not keys.  cap is unused; it
+    keeps _KeyWord's signature."""
 
     def __init__(self, k: int, m: int, p: int, cap: int) -> None:
         super().__init__(Word((), Alphabet(k)), m)
-        self._bound = min(cap, _VECTOR_MAX_LEN - 1)
         self._p = p
 
     def power_ends_at_last(self) -> bool:
@@ -312,8 +315,6 @@ def _count_batched(
     A child's keys are its parent's last keys plus its letter's step, and
     one numpy pass tests every child at every period on every key."""
     budget = _start(k, m, p, n_max, node_budget, budget_ms)
-    if n_max >= _VECTOR_MAX_LEN:  # the int64 keys hold shorter words only
-        raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN} at orders 1 and 2")
     unit, weight = _key_growth(k, m, n_max)
     n_keys = len(unit)
     # grow[a, c] is what one more letter a adds to letter c's step
@@ -434,6 +435,11 @@ def count_avoiding(
     """
     opts = dict(symmetry=symmetry, node_budget=node_budget, budget_ms=budget_ms, progress=progress)
     _check_order(m)
+    _check_int(n_max, "search depth cap", 1)
+    # the table holds a count per length, and at orders 1, 2 the int64 keys
+    # hold shorter words only
+    if n_max >= _VECTOR_MAX_LEN:
+        raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN}")
     if m <= 2:
         res = _count_batched(k, m, p, n_max, **opts)
     else:

@@ -9,8 +9,7 @@ signature of u (the extended Parikh vector when m = 2); two words are
 m-binomially equivalent when their signatures agree.  Order 1 is abelian
 equivalence, and each order refines the one below.
 
-All arithmetic is exact Python integer arithmetic on immutable values; at
-orders 1 and 2 a PrefixIndex packs each prefix into one key (_key_plan).
+All arithmetic is exact Python integer arithmetic on immutable values.
 Public constructors validate; a Word or signature derived from validated
 values (a slice, concatenation, image or count) is built by _trusted.
 """
@@ -27,7 +26,6 @@ from .errors import InvalidInputError, UnsupportedOrderError
 
 MAX_ALPHABET = 8
 MAX_ORDER = 4  # order 2 carries the paper's results; 3 and 4 check its lemmas
-_KEY_BITS = 62  # per packed int64 key, so keys and their differences fit int64
 
 
 @dataclass(frozen=True)
@@ -214,56 +212,6 @@ def _extend_updates(k: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         pairs.sort(key=lambda ts: -len(words[ts[0]]))
         updates.append(tuple(pairs))
     return tuple(updates)
-
-
-def _key_plan(k: int, m: int, n: int) -> list[list[tuple[int, int, int, int]]]:
-    """The packed keys of the order-m block test (m <= 2) on words of
-    length <= n, per key its (a, b, offset, width) fields: the prefix counts
-    A_a of letters a < k-1 (b = -1), then at order 2 D_ab = |prefix|_ab -
-    |prefix|_ba for a < b; appending c adds A_a to D_ac, subtracts A_b from D_cb.
-
-    Blocks u of one length are equivalent iff these fields have equal
-    differences: the last letter's count is |u| minus the others, count(aa)
-    = C(|u|_a, 2), count(ba) = |u|_a |u|_b - count(ab), and over u = w[s:e)
-    D_ab(e) - D_ab(s) = 2 count(u, ab) - |u|_a |u|_b + A_a(s) |u|_b - A_b(s) |u|_a,
-    whose last three terms agree for consecutive blocks with equal letter
-    counts.  A field spans the largest gap between two block differences, n
-    or n*n // 2 (D's lie in [-n*n // 4, n*n // 4]), and a key at most
-    _KEY_BITS bits (tests/test_vector.py).  The prefix key puts key g at bit
-    _KEY_BITS * g and adds n*n // 4 to each D field, so no field is negative
-    and every int64 key is a bit slice of it (tests/test_vector.py).
-    """
-    fields = [(a, -1) for a in range(k - 1)]
-    if m == 2:
-        fields.extend((a, b) for a in range(k) for b in range(a + 1, k))
-    plan: list[list[tuple[int, int, int, int]]] = [[]]
-    used = 0
-    for a, b in fields:
-        width = (n if b < 0 else n * n // 2).bit_length()
-        if used + width > _KEY_BITS:
-            plan.append([])
-            used = 0
-        plan[-1].append((a, b, used, width))
-        used += width
-    return plan
-
-
-@lru_cache(maxsize=1024)
-def _key_steps(k: int, m: int, n: int) -> tuple[int, tuple]:
-    """The prefix key of the empty word, and per appended letter c its
-    (unit, ((a, weight), ...)): the key grows by unit plus the sum of
-    weight * A_a over the letter counts before c (_key_plan)."""
-    shift = {}
-    for g, fields in enumerate(_key_plan(k, m, n)):
-        for a, b, offset, _ in fields:
-            shift[a, b] = 1 << (_KEY_BITS * g + offset)
-    base = sum(n * n // 4 * bit for (_, b), bit in shift.items() if b >= 0)
-    steps = []
-    for c in range(k):
-        terms = [(a, shift[a, c]) for a in range(c) if (a, c) in shift]
-        terms += [(b, -shift[c, b]) for b in range(c + 1, k) if (c, b) in shift]
-        steps.append((shift.get((c, -1), 0), tuple(terms)))
-    return base, tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -466,9 +414,6 @@ class PrefixIndex:
         self._iwords = index_words(k, m)
         self._updates = _extend_updates(k, m)
         self._splits = _split_table(k, m)
-        # orders 1, 2: _keys[i] packs word[:i] (_key_plan), written when first read
-        self._keys: list[int] = []
-        self._bound = len(wd)
         if m > 2:  # orders 3, 4 grow the columns letter by letter
             self._letters, self._cols = [], [[0] for _ in self._iwords]
             for a in wd.letters:
@@ -504,25 +449,6 @@ class PrefixIndex:
         for col in self._cols:
             col.pop()
         self._letters.pop()
-        del self._keys[len(self._letters) + 1 :]
-
-    def _sync_keys(self) -> None:
-        """Extend _keys to every prefix; letter a's column is _cols[a]."""
-        letters = self._letters
-        if len(letters) > self._bound:
-            raise InvalidInputError(f"prefix keys planned for length <= {self._bound}")
-        base, steps = _key_steps(self.alphabet.size, self.order, self._bound)
-        keys = self._keys
-        if not keys:
-            keys.append(base)
-        cols = self._cols
-        key = keys[-1]
-        for i in range(len(keys) - 1, len(letters)):
-            unit, terms = steps[letters[i]]
-            key += unit
-            for a, weight in terms:
-                key += weight * cols[a][i]
-            keys.append(key)
 
     def _bounds(self, i: int, j: int) -> None:
         if not 0 <= i <= j <= len(self._letters):
@@ -557,22 +483,23 @@ class PrefixIndex:
 
     def blocks_equivalent(self, start: int, period: int, count: int) -> bool:
         """True iff the count consecutive length-period blocks from start are
-        pairwise equivalent at this index's order."""
+        pairwise equivalent at this index's order: their letter counts agree,
+        which decides order 1, and at orders 2-4 so do their signatures."""
         if period < 1 or count < 1:
             raise InvalidInputError("period and count must be positive")
         stop = start + period * count
         self._bounds(start, stop)
-        if self.order > 2:
-            first = self._factor_counts(start, start + period)
-            for s in range(start + period, stop, period):
-                if self._factor_counts(s, s + period) != first:
+        later = range(start + period, stop, period)
+        # equal block lengths fix the last letter's count
+        for col in self._cols[: self.alphabet.size - 1]:
+            first = col[start + period] - col[start]
+            for s in later:
+                if col[s + period] - col[s] != first:
                     return False
+        if self.order == 1:
             return True
-        keys = self._keys
-        if len(keys) <= stop:
-            self._sync_keys()
-        first = keys[start + period] - keys[start]
-        for s in range(start + period, stop, period):
-            if keys[s + period] - keys[s] != first:
+        first = self._factor_counts(start, start + period)
+        for s in later:
+            if self._factor_counts(s, s + period) != first:
                 return False
         return True

@@ -1,4 +1,3 @@
-import functools
 import os
 import sys
 
@@ -29,12 +28,3 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
-
-
-@pytest.fixture
-def fresh_key_steps(monkeypatch):
-    """An empty cache for words._key_steps, for tests that patch the key
-    plan it reads; the original function and its cache come back afterwards."""
-    import binwords.words as words
-
-    monkeypatch.setattr(words, "_key_steps", functools.lru_cache(words._key_steps.__wrapped__))

@@ -1,15 +1,17 @@
-"""The order-1/order-2 packed key, in both of its writers.
+"""The order-1/order-2 block test, in both engines.
 
-PrefixIndex.blocks_equivalent (the python engine and the search) compares
-differences of one packed Python int per prefix, and the vector engine
-compares int64 keys; both lay out the fields of words._key_plan: letters
-a < k-1 and, at order 2, the antisymmetric pair counts D_ab =
+PrefixIndex.blocks_equivalent (the python engine and the search's
+reference) compares letter counts, then factor signatures, and reads no
+key.  The vector engine compares int64 keys laid out by detect._key_plan:
+letters a < k-1 and, at order 2, the antisymmetric pair counts D_ab =
 |prefix|_ab - |prefix|_ba for a < b.  A power-free verdict rests on those
-fields being complete, so they are checked against the naive oracles, on
-planted powers at the last legal start with the longest period, and by a
-negative control that drops one pair field; the identity that lets D
-stand for count(ab) is checked exhaustively on short words, with a
-control that tests the plain pair count instead.
+fields being complete, so both engines are checked against the naive
+oracles, on planted powers at the last legal start with the longest
+period, and by negative controls: a plan that drops one pair field, caught
+on the vector side alone, and a block test that stops after the letter
+counts at order 2.  The identity that lets D stand for count(ab) is
+checked exhaustively on short words, with a control that tests the plain
+pair count instead.
 """
 
 import functools
@@ -20,7 +22,6 @@ import numpy as np
 import pytest
 
 import binwords.detect as detect
-import binwords.words as words
 from binwords import PrefixIndex, find_power, word
 
 from oracles import naive_equivalent, naive_find_power, naive_subword_count
@@ -68,27 +69,43 @@ def test_basis_size():
     # k - 1 letters, then the k(k-1)/2 pairs a < b
     for k in range(1, 9):
         for m, size in ((1, k - 1), (2, k - 1 + k * (k - 1) // 2)):
-            assert sum(map(len, words._key_plan(k, m, 100))) == size
+            assert sum(map(len, detect._key_plan(k, m, 100))) == size
 
 
-def test_dropping_a_pair_entry_is_caught(monkeypatch, fresh_key_steps):
+def weakened_plan(k, m, n, plan=detect._key_plan):
+    """The key plan without its last field, at order 2 a pair (at k = 2 the only one)."""
+    out = plan(k, m, n)
+    if m == 2 and k > 1:
+        out[-1].pop()
+    return out
+
+
+def test_dropping_a_pair_entry_is_caught(monkeypatch):
     # negative control: without one pair field, order 2 collapses toward
-    # abelian equivalence in both writers and the differential test fails
-    original = words._key_plan
-
-    def weakened(k, m, n):
-        plan = original(k, m, n)
-        if m == 2 and k > 1:
-            plan[-1].pop()  # the last field is a pair; at k = 2 the only one
-        return plan
-
-    monkeypatch.setattr(words, "_key_plan", weakened)
-    monkeypatch.setattr(detect, "_key_plan", weakened)
+    # abelian equivalence in the vector engine, and the differential test
+    # fails there alone; the index reads no key plan
+    monkeypatch.setattr(detect, "_key_plan", weakened_plan)
     # find_power's recomputation would reject the false hits first; switch it
     # off so that the differential test alone has to catch them
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     found = basis_mismatches(2, 2, short_words(2))
-    assert {f[0] for f in found} == {"index", "vector"}
+    assert found and {f[0] for f in found} == {"vector"}
+
+
+def test_stopping_after_the_letter_counts_is_caught(monkeypatch):
+    # negative control: a block test that decides on letter counts alone,
+    # as at order 1, and never compares the factor signatures
+    def screen_only(self, start, period, count):
+        first = self.letter_counts(start, start + period)
+        stop = start + period * count
+        return all(
+            self.letter_counts(s, s + period) == first
+            for s in range(start + period, stop, period)
+        )
+
+    monkeypatch.setattr(PrefixIndex, "blocks_equivalent", screen_only)
+    with pytest.raises(AssertionError):
+        test_basis_matches_oracle(2, 2)
 
 
 # Each word ends with the planted blocks, so they sit at the last legal

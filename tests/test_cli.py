@@ -253,17 +253,18 @@ class TestSearchAndCount:
         assert code == 3
         assert "budget" in err
 
-    def test_count_past_the_int64_keys_exit_two(self, capsys):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_count_past_the_int64_keys_exit_two(self, capsys, m):
         # an order-1/2 count keeps int64 keys, which hold words shorter than
-        # detect._VECTOR_MAX_LEN; a longer n_max is refused before any table
-        # of n_max counts is allocated
+        # detect._VECTOR_MAX_LEN, and a count at every order a table of
+        # n_max counts; a longer n_max is refused before any of them is built
         code, out, err = run(
             capsys,
-            "count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "1000000000000",
+            "count", "-k", "3", "-m", str(m), "-p", "2", "--n-max", "1000000000000",
             "--node-budget", "10",
         )
         assert (code, out) == (2, "")
-        assert err == "binwords: n_max must be below 2147483648 at orders 1 and 2\n"
+        assert err == "binwords: n_max must be below 2147483648\n"
 
     def test_count_symmetry(self, capsys):
         code, out, _ = run(

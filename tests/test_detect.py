@@ -121,17 +121,37 @@ class TestStructuralInvariants:
 
 
 class TestEngines:
+    # the python engine reads letter counts and signatures, the vector engine
+    # the int64 keys of detect._key_plan, so the two are independent; at
+    # k = 8 the keys take more than one int64 each
     def test_agreement_on_random_words(self):
         rng = random.Random(21)
-        for _ in range(60):
-            n = rng.randrange(64, 200)
-            k = 2
+        for _ in range(120):
+            n = rng.randint(1, 200)
+            k = rng.randint(1, 8)
             w = word(tuple(rng.randrange(k) for _ in range(n)), k)
             m = rng.choice((1, 2))
             p = rng.choice((2, 3))
             a = find_power(w, m, p, engine="python")
             b = find_power(w, m, p, engine="vector")
             assert occ_pair(a) == occ_pair(b)
+
+    def test_dropping_a_pair_field_is_caught(self, monkeypatch):
+        # negative control: a key plan without its last field, at order 2 a
+        # pair, fools the vector engine alone; find_power's recomputation
+        # would reject its false hits, so it is switched off
+        plan = detect._key_plan
+
+        def weakened(k, m, n):
+            out = plan(k, m, n)
+            if m == 2 and k > 1:
+                out[-1].pop()
+            return out
+
+        monkeypatch.setattr(detect, "_key_plan", weakened)
+        monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
+        with pytest.raises(AssertionError):
+            self.test_agreement_on_random_words()
 
     def test_agreement_on_structured_words(self):
         # square-free-ish material stresses the no-hit path

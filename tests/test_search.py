@@ -20,8 +20,7 @@ from binwords import (
     word,
 )
 
-from binwords.detect import _scan_keys
-from binwords.words import _key_plan
+from binwords.detect import _key_plan, _scan_keys
 from oracles import all_words, naive_find_power
 
 

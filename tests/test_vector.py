@@ -1,27 +1,27 @@
-"""The packed keys: their bounds as code, the two writers against each
-other, the numpy kernel against the naive oracle with a negative control;
-then the same keys in the order-1/2 search word (search._KeyWord), whose
-child test is checked against signatures of its last blocks and whose
-searches are checked against the PrefixIndex word (search._SearchWord).
+"""The int64 keys: their bounds as code, the scan's keys against the
+fields recomputed from their definition, the numpy kernel against the
+naive oracle with negative controls; then the same keys in the order-1/2
+search word (search._KeyWord), whose child test is checked against
+signatures of its last blocks and whose searches are checked against the
+PrefixIndex word (search._SearchWord), which reads no key.
 
-words._key_plan lays out the prefix counts of letters 0..k-2 and, at order
-2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of each
-pair a < b.  Consecutive blocks with equal letter counts have equal D
+detect._key_plan lays out the prefix counts of letters 0..k-2 and, at
+order 2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of
+each pair a < b.  Consecutive blocks with equal letter counts have equal D
 differences iff they have equal count(ab), so p blocks are equivalent iff
 their key differences agree: one equal-differences test for orders 1 and
-2.  PrefixIndex keeps one Python int per prefix, its D fields biased so
-that every int64 key is a bit slice of it; the numpy scan
-(detect._scan_keys) writes the same keys with D signed, and beside them a
-uint16 fingerprint, the sum over every field f of r_f * field_f mod 2**16
-with r_f odd.  The scan compares the fingerprint at every start and all
-int64 keys on its survivors only: equal field differences give equal
-fingerprint differences, so the screen drops no occurrence, and a
-collision only passes a start on to the exact keys, which decide.  Two
-negative controls pin that split: an all-zero fingerprint leaves the
-answers right, and a narrow fingerprint trusted alone gets them wrong.
-Words are drawn from factors of the g and h fixed points, which are free
-of 2-binomial squares and cubes, so abelian survivors exist and
-occurrences, if any, sit late.
+2.  The numpy scan (detect._scan_keys) writes the keys with D signed, each
+the cumulative sum of what each letter adds to it (detect._key_growth),
+and beside them a uint16 fingerprint, the sum over every field f of
+r_f * field_f mod 2**16 with r_f odd.  The scan compares the fingerprint
+at every start and all int64 keys on its survivors only: equal field
+differences give equal fingerprint differences, so the screen drops no
+occurrence, and a collision only passes a start on to the exact keys,
+which decide.  Two negative controls pin that split: an all-zero
+fingerprint leaves the answers right, and a narrow fingerprint trusted
+alone gets them wrong.  Words are drawn from factors of the g and h fixed
+points, which are free of 2-binomial squares and cubes, so abelian
+survivors exist and occurrences, if any, sit late.
 """
 
 import itertools
@@ -33,10 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 import binwords.detect as detect
 import binwords.search as search
-import binwords.words as words
 from binwords import (
     PRESETS,
-    PrefixIndex,
     find_power,
     fixed_point_prefix,
     longest_avoiding,
@@ -60,25 +58,18 @@ def d_bound(n):
 
 def field_bounds(n, b):
     """(largest |value|, largest |block difference|, largest gap between two
-    block differences) of a field on words of length n, in plain ints; the
-    gap also bounds a biased D value, which lies in [0, 2 * d_bound(n)]."""
+    block differences) of a field on words of length n, in plain ints."""
     if b < 0:
         return n, n, n
     return d_bound(n), d_bound(n), 2 * d_bound(n)
 
 
-def split_key(key, count):
-    """The first count int64 keys of a prefix key, lowest first."""
-    mask = (1 << 62) - 1
-    return [key >> 62 * g & mask for g in range(count)]
-
-
-def unpack(key, group, signed=True):
-    """The fields of one key, lowest first; D fields may be signed."""
+def unpack(key, group):
+    """The fields of one key, lowest first; D fields may be negative."""
     out = []
     for _, b, _, width in group:
         low = key % (1 << width)
-        if signed and b >= 0 and 2 * low >= 1 << width:
+        if b >= 0 and 2 * low >= 1 << width:
             low -= 1 << width
         out.append(low)
         key = (key - low) >> width
@@ -87,7 +78,7 @@ def unpack(key, group, signed=True):
 
 
 def check_plan(k, m, n):
-    plan = words._key_plan(k, m, n)
+    plan = detect._key_plan(k, m, n)
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] if m == 2 else []
     assert [f[:2] for group in plan for f in group] == [(a, -1) for a in range(k - 1)] + pairs
     for group in plan:
@@ -104,16 +95,17 @@ def check_plan(k, m, n):
 
 
 def run_key(k, n, runs):
-    """The prefix key of the word c1^r1 c2^r2 ... for runs [(c, r), ...],
-    planned for length n, by the step table of words._key_steps: a letter's
-    step reads only the other letters' counts, which are fixed in a run."""
-    base, steps = words._key_steps(k, 2, n)
-    key, counts = base, [0] * k
+    """The int64 keys of the word c1^r1 c2^r2 ... for runs [(c, r), ...],
+    planned for length n, summed in Python ints from the growth table of
+    detect._key_growth: a letter's step reads only the other letters'
+    counts, which are fixed in a run."""
+    unit, weight = (x.tolist() for x in detect._key_growth(k, 2, n))
+    keys, counts = [0] * len(unit), [0] * k
     for c, r in runs:
-        unit, terms = steps[c]
-        key += r * (unit + sum(weight * counts[a] for a, weight in terms))
+        for g in range(len(keys)):
+            keys[g] += r * (unit[g][c] + sum(x * y for x, y in zip(weight[g][c], counts)))
         counts[c] += r
-    return key
+    return keys
 
 
 def extremes(k, n):
@@ -134,24 +126,19 @@ def extremes(k, n):
 
 
 def check_round_trip(k, n):
-    # every key slice of the prefix key is a non-negative int64 whose fields
-    # are the letter counts and the D values plus the bias n*n // 4
-    plan = words._key_plan(k, 2, n)
+    # every key is an int64 whose fields are the letter counts and the
+    # signed D values, also where D sits at +-(n*n // 4)
+    plan = detect._key_plan(k, 2, n)
     for runs, counts, d_values in extremes(k, n):
-        key = run_key(k, n, runs)
-        if n <= 511:  # the same key written letter by letter
-            index = PrefixIndex([c for c, r in runs for _ in range(r)], 2, alphabet=k)
-            index._sync_keys()
-            assert index._keys[n] == key
-        slices = split_key(key, len(plan))
-        assert key == sum(s << 62 * g for g, s in enumerate(slices))
-        for part, group in zip(slices, plan):
+        keys = run_key(k, n, runs)
+        if n <= 511:  # the same keys written letter by letter by the scan
+            wd = word([c for c, r in runs for _ in range(r)], k)
+            assert detect._scan_keys(wd, 2)[0][:, n].tolist() == keys
+        assert len(keys) == len(plan)
+        for part, group in zip(keys, plan):
             np.int64(part)  # raises OverflowError outside int64
-            want = [
-                counts[a] if b < 0 else d_bound(n) + d_values.get((a, b), 0)
-                for a, b, _, _ in group
-            ]
-            assert unpack(part, group, signed=False) == want
+            want = [counts[a] if b < 0 else d_values.get((a, b), 0) for a, b, _, _ in group]
+            assert unpack(part, group) == want
 
 
 class TestPackingBound:
@@ -175,9 +162,9 @@ class TestPackingBound:
         # D at +-(n*n // 4) sits next to letter counts at n in every key
         check_round_trip(k, n)
 
-    def test_narrower_d_field_is_caught(self, monkeypatch, fresh_key_steps):
+    def test_narrower_d_field_is_caught(self, monkeypatch):
         # mutant: every D field one bit narrower, later offsets moved down
-        original = words._key_plan
+        original = detect._key_plan
 
         def narrowed(k, m, n):
             plan = []
@@ -190,7 +177,7 @@ class TestPackingBound:
                 plan.append(fields)
             return plan
 
-        monkeypatch.setattr(words, "_key_plan", narrowed)
+        monkeypatch.setattr(detect, "_key_plan", narrowed)
         with pytest.raises(AssertionError):
             check_plan(3, 2, 100)
         with pytest.raises(AssertionError):
@@ -222,7 +209,7 @@ class TestPackingBound:
         # 2-binomial square 6776 7667: letter 6 does not fit the first key
         # at n = 511 (6 of 7 fields of 9 bits fit), nor letters 5 and 6 at
         # n = 1500 and 2000 (5 fields of 11 bits fit), and their pairs sit in later keys
-        first_key = words._key_plan(8, 2, n)[0]
+        first_key = detect._key_plan(8, 2, n)[0]
         assert (6, -1) not in [f[:2] for f in first_key]
         g = fixed_point_prefix(PRESETS["g"].morphism, 0, n - 8).letters
         letters = [5 + a for a in g] + [6, 7, 7, 6, 7, 6, 6, 7]
@@ -271,7 +258,7 @@ def ends_with_power(letters, m, p, k):
     return False
 
 
-def letters_only(k, m, n, plan=words._key_plan):
+def letters_only(k, m, n, plan=detect._key_plan):
     """The key plan without its D fields: order 2 decided by letter counts."""
     return [[f for f in group if f[1] < 0] for group in plan(k, m, n)]
 
@@ -331,7 +318,7 @@ def test_fingerprint_is_linear_mod_2_16():
     n, k = 20000, 3
     wd = fixed_point_prefix(PRESETS["g"].morphism, 0, n)
     keys, fingerprint = detect._scan_keys(wd, 2)
-    fields = [f[:2] for group in words._key_plan(k, 2, n) for f in group]
+    fields = [f[:2] for group in detect._key_plan(k, 2, n) for f in group]
     assert len(fields) == 5
     r = [(2 * f + 1) * detect._FINGERPRINT_STEP % 2**16 for f in range(len(fields))]
     assert all(x % 2 for x in r)
@@ -383,7 +370,7 @@ def test_one_letter_words(m, p):
         assert w.power_ends_at_last() == ends_with_power([0] * n, m, p, 1)
 
 
-# ---------------------------------------------------------------- the two writers
+# ---------------------------------------------------------------- the scan's keys
 
 
 def agreement_words(k):
@@ -398,34 +385,31 @@ def agreement_words(k):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_prefix_key_slices_match_the_scan_keys(k):
-    # the Python prefix key, sliced into int64 keys and unbiased, equals
-    # detect's numpy keys field by field at every prefix
+def test_scan_keys_hold_the_plan_fields(k):
+    # detect's numpy keys, unpacked, are A_a and D_ab recomputed in Python
+    # ints from their definition at every prefix; at k = 8 and n = 300 the
+    # fields take two keys
     for letters in agreement_words(k):
         n = len(letters)
         for m in (1, 2):
-            index = PrefixIndex(letters, m, alphabet=k)
-            index._sync_keys()
-            plan = words._key_plan(k, m, n)
+            plan = detect._key_plan(k, m, n)
             scan, _ = detect._scan_keys(word(letters, k), m)
-            bias = split_key(index._keys[0], len(plan))
-            for i, key in enumerate(index._keys):
-                parts = split_key(key, len(plan))
-                for part, base, got, group in zip(parts, bias, scan[:, i], plan):
-                    fields = unpack(part, group, signed=False)
-                    bias_fields = unpack(base, group, signed=False)
-                    want = unpack(int(got), group)
-                    assert [f - b for f, b in zip(fields, bias_fields)] == want
+            counts, pairs = [0] * k, [[0] * k for _ in range(k)]
+            for i in range(n + 1):
+                for got, group in zip(scan[:, i].tolist(), plan):
+                    want = [counts[a] if b < 0 else pairs[a][b] - pairs[b][a] for a, b, _, _ in group]
+                    assert unpack(got, group) == want
+                if i < n:
+                    c = letters[i]
+                    for a in range(k):
+                        pairs[a][c] += counts[a]
+                    counts[c] += 1
 
 
 def test_keys_past_the_planned_bound_are_refused():
-    # a key planned for length n cannot hold a longer word's fields, so
-    # syncing past n raises instead of writing keys that could overflow
-    index = PrefixIndex("0110", 2)
-    index._push(1)
-    with pytest.raises(InvalidInputError):
-        index.blocks_equivalent(0, 1, 2)
-    assert index._keys == []
+    # keys planned for length n cannot hold a longer word's fields, so the
+    # search word refuses to grow past n instead of writing keys that could
+    # overflow
     w = search._KeyWord(2, 2, 3, 8)
     for a in (0, 0, 1, 0, 1, 1, 0, 1):
         w._push(a)
@@ -490,11 +474,10 @@ def test_search_word_suffix_test_matches_python(script, m, p):
                 assert [w.power_ends_at_last() for w in pair] == [want, want]
 
 
-def test_search_word_without_stage_two_is_caught(monkeypatch, fresh_key_steps):
-    # negative control: order 2 decided by letter counts alone, in the key
-    # word's int64 keys and in the PrefixIndex word's prefix key
+def test_search_word_without_stage_two_is_caught(monkeypatch):
+    # negative control: order 2 decided by letter counts alone in the key
+    # word's int64 keys; the PrefixIndex word reads no key and stays right
     monkeypatch.setattr(detect, "_key_plan", letters_only)
-    monkeypatch.setattr(words, "_key_plan", letters_only)
     with pytest.raises(AssertionError):
         test_search_word_suffix_test_matches_python()
 

@@ -419,18 +419,6 @@ class TestPrefixIndex:
         idx._pop()
         assert [list(c) for c in idx._cols] == before
         assert str(idx.word) == "012"
-        # the prefix keys: written only for a block test, trimmed by _pop
-        # and written again for a regrown word
-        idx = PrefixIndex(Word.parse("0121"), 2)
-        assert idx._keys == []
-        assert not idx.blocks_equivalent(0, 2, 2)
-        full = list(idx._keys)
-        assert len(full) == 5
-        idx._pop()
-        assert idx._keys == full[:4]
-        idx._push(1)
-        assert not idx.blocks_equivalent(0, 2, 2)
-        assert idx._keys == full
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
