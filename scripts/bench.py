@@ -7,14 +7,17 @@ object with the end-to-end metrics.  The record gives, per workload, the
 seeds, every run's metrics, and the median and quartiles of each metric,
 plus the host (nproc, CPU model) and the Python and numpy versions.
 
-With --parent REV, the files of REV are unpacked by `git archive` into a
-temporary directory, and every seed runs once there and once in this
-checkout, the order alternating from pair to pair so that a drift of the
-host's speed does not favour one side.  Each pair then records, per
-metric, the ratio change / parent and the winner.  The directory is
-removed afterwards; git's state is not touched.  Both sides' `src/` are
-byte-compiled first (compileall writes `__pycache__`, which git ignores),
-so `setup_s` compares imports from bytecode on both sides.
+The runs never use this checkout in place.  The working tree's files,
+tracked and untracked but not ignored, are copied into a temporary
+directory, its `src/` is byte-compiled, and every run of the change
+starts there.  With --parent REV, the files of REV are unpacked by `git
+archive` into another temporary directory and byte-compiled the same way,
+and every seed runs once on each side, the order alternating from pair to
+pair so that a drift of the host's speed does not favour one side.  Each
+pair then records, per metric, the ratio change / parent and the winner.
+Both sides thus run from a fresh copy and import from bytecode, so
+`setup_s` compares like with like.  The directories are removed
+afterwards; git's state and this checkout are not touched.
 
     python3 scripts/bench.py --seeds 401 402 403 --out BENCH.json
     python3 scripts/bench.py --parent HEAD~1 --workload search \\
@@ -33,6 +36,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -103,40 +107,47 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
 
 
 @contextmanager
-def checkout(rev: str) -> Iterator[Path]:
-    """The committed files of rev in a temporary directory, removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path, tar = Path(tmp) / "parent", Path(tmp) / "parent.tar"
+def checkout(rev: Optional[str]) -> Iterator[Path]:
+    """The committed files of rev, or with rev None the working tree's
+    tracked and untracked files that git does not ignore, unpacked into a
+    temporary directory with src/ byte-compiled, so that setup_s never
+    includes compiling; the directory is removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        path, tar = Path(tmp) / "tree", Path(tmp) / "tree.tar"
         path.mkdir()
-        subprocess.run(["git", "archive", "--output", str(tar), rev],
-                       cwd=ROOT, check=True, capture_output=True)
+        if rev is None:
+            names = subprocess.run(
+                ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                cwd=ROOT, check=True, capture_output=True, text=True,
+            ).stdout.split("\0")
+            with tarfile.open(tar, "w") as out:
+                for name in names:
+                    if name and (ROOT / name).is_file():  # not deleted since the last commit
+                        out.add(ROOT / name, arcname=name)
+        else:
+            subprocess.run(["git", "archive", "--output", str(tar), rev],
+                           cwd=ROOT, check=True, capture_output=True)
         subprocess.run(["tar", "-xf", str(tar), "-C", str(path)], check=True, capture_output=True)
-        compile_src(path)
+        if not compileall.compile_dir(path / "src", quiet=1):
+            raise RuntimeError(f"byte-compiling {path / 'src'} failed")
         yield path
 
 
-def compile_src(checkout: Path) -> None:
-    """Byte-compile checkout's src/, so that setup_s never includes compiling."""
-    if not compileall.compile_dir(checkout / "src", quiet=1):
-        raise RuntimeError(f"byte-compiling {checkout / 'src'} failed")
-
-
 def bench(workloads: list[str], seeds: list[int], seconds: float,
-          parent: Optional[Path]) -> dict:
+          change: Path, parent: Optional[Path]) -> dict:
     better = directions()
-    compile_src(ROOT)
     record: dict = {"seconds": seconds, "seeds": seeds, "workloads": {}}
     for workload in workloads:
         change_runs, parent_runs, pairs = [], [], []
         for i, seed in enumerate(seeds):
             if parent is None:
-                change_runs.append(run_once(ROOT, workload, seed, seconds))
+                change_runs.append(run_once(change, workload, seed, seconds))
                 log(workload, seed, change_runs[-1])
                 continue
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
             for side in order:
-                got[side] = run_once(parent if side == "parent" else ROOT,
+                got[side] = run_once(parent if side == "parent" else change,
                                      workload, seed, seconds)
                 log(workload, seed, got[side], side)
             parent_runs.append(got["parent"])
@@ -185,12 +196,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"bench.py: --parent {args.parent!r} names no commit", file=sys.stderr)
             return 2
     workloads = args.workload or list(WORKLOADS)
-    if parent is None:
-        record = bench(workloads, args.seeds, args.seconds, None)
-    else:
-        with checkout(parent) as path:
-            record = bench(workloads, args.seeds, args.seconds, path)
-        record["parent"] = parent
+    with checkout(None) as change:
+        if parent is None:
+            record = bench(workloads, args.seeds, args.seconds, change, None)
+        else:
+            with checkout(parent) as path:
+                record = bench(workloads, args.seeds, args.seconds, change, path)
+            record["parent"] = parent
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     runs = [r for w in record["workloads"].values()
             for r in w["runs"] + w.get("parent_runs", [])]

@@ -59,9 +59,8 @@ def main() -> int:
             )
             text = table.to_tsv()
             sys.stdout.write(text)
-            if table.counts and table.counts[-1] == 0:
-                dead = next(i for i, c in enumerate(table.counts, start=1) if c == 0)
-                print(f"# tree dies: longest avoiding word has length {dead - 1}")
+            if table.counts[-1] == 0:  # a dead tree's table ends at its first 0
+                print(f"# tree dies: longest avoiding word has length {len(table.counts) - 1}")
             if args.out_dir is not None:
                 name = f"growth_k{k}_m{m}_p{p}{'_sym' if args.symmetry else ''}.tsv"
                 (args.out_dir / name).write_text(text)

@@ -184,8 +184,8 @@ def _mirror(run: _Run, scan_len: int, max_factor: int, margin: int, fault: bool)
     occur within the margin prefix; misses are retried at 10x the margin
     before being reported."""
     gen = PRESETS["g"].morphism
-    prefix = str(fixed_point_prefix(gen, 0, scan_len))
     hay = str(fixed_point_prefix(gen, 0, margin))
+    prefix = hay[:scan_len]  # run_check holds margin >= scan_len
     if fault:
         # negative control: a sorted haystack loses almost every mirror
         hay = "".join(sorted(hay))
@@ -228,8 +228,8 @@ def _desubstitution(run: _Run, scan_len: int, max_len: int, fault: bool) -> None
     gen = PRESETS["g"].morphism
     dec = gen if not fault else parse_morphism("0->012,1->20,2->1")
     hay_len = max(scan_len * 10, scan_len + max_len)
-    prefix = fixed_point_prefix(gen, 0, scan_len)
-    hay = str(fixed_point_prefix(gen, 0, hay_len))
+    long = fixed_point_prefix(gen, 0, hay_len)
+    prefix, hay = long[:scan_len], str(long)
     keys, _ = _scan_keys(prefix, 1)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     both_cases = 0

@@ -16,8 +16,10 @@ Renaming letters maps powers to powers, so a count walks one word per
 renaming orbit, the one in first-occurrence form (each new letter is the
 least unused one), and weighs it by the orbit's size: perm(k, u) for u
 distinct letters, perm(k - 1, u - 1) with the first letter fixed by
-symmetry.  Its counts and nodes are those of the full tree.  Both searches
-are deterministic, and a node budget aborts at a deterministic point.
+symmetry.  Its counts and nodes are those of the full tree.  One table
+(_walk_table), indexed by a word's top and a letter, gives both walks the
+letters to try, each child's top and its weight.  Both searches are
+deterministic, and a node budget aborts at a deterministic point.
 
 The search and the counts at orders 3 and 4 walk depth first (_dfs).  At
 orders 1 and 2 a count walks the same orbit tree in batches of up to
@@ -28,11 +30,11 @@ keys are its parent's last keys plus its letter's step, and one numpy test
 (_children) checks all children of a batch, or of the search word's last
 prefix (_KeyWord), at every period.  Survivors go back on a stack of
 batches, so the pending key histories stay within about n_max * k *
-_BATCH rows.  A count holds one count per length and refuses n_max >=
-detect._VECTOR_MAX_LEN at every order.  Its budget is ticked per batch,
-and child by child in a batch that would pass a unit cap, so it aborts on
-the same node every run; progress is reported when a batch first reaches a
-depth, in batch order.
+_BATCH rows.  A count's table ends at n_max or at the first length with
+no survivor, and a count refuses n_max >= detect._VECTOR_MAX_LEN at
+every order.  Its budget is ticked per batch, and child by child in a
+batch that would pass a unit cap, so it aborts on the same node every run;
+progress is reported when a batch first reaches a depth, in batch order.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class SearchCertificate:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact survivor counts per length from a full bounded exploration."""
+    """Exact survivor counts per length from a full bounded exploration,
+    up to n_max or to the first length with no survivor, where it ends."""
 
     alphabet_size: int
     order: int
@@ -216,10 +219,19 @@ def _start(
     return Budget("search", budget_ms, node_budget)
 
 
-def _orbit_weights(k: int, symmetry: bool) -> list[int]:
-    """Indexed by top = 1 + the largest letter: the size of the renaming
-    orbit of a word in first-occurrence form with that top."""
-    return [0] + [perm(k - 1, u - 1) if symmetry else perm(k, u) for u in range(1, k + 1)]
+def _walk_table(k: int, symmetry: bool, orbits: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Indexed by a word's top (1 + its largest letter; 0 when empty) and a
+    letter: the child's top and weight, 0 for a letter not tried (the tried
+    letters are a prefix of the alphabet).  A count (orbits) tries letters
+    up to the top and weighs a word by its orbit; a search tries every
+    letter, only 0 at the root under symmetry, and weighs each word 1."""
+    top = np.arange(k + 1)[:, None]
+    letter = np.arange(k)
+    child = np.maximum(top, letter + 1)
+    if not orbits:
+        return child, ((top > 0) | (letter == 0) | (not symmetry)).astype(np.int64)
+    orbit = [perm(k - 1, u - 1) if symmetry else perm(k, u) for u in range(1, k + 1)]
+    return child, np.array(orbit)[child - 1] * (letter <= top)
 
 
 @dataclass
@@ -245,15 +257,7 @@ def _dfs(
 ) -> _DfsResult:
     budget = _start(k, m, p, depth_cap, node_budget, budget_ms)
     w = (_KeyWord if m <= 2 else _SearchWord)(k, m, p, depth_cap)
-    # indexed by top = 1 + the largest letter so far: the letters to try
-    # next, and the weight of a node with that top (its distinct letters,
-    # in first-occurrence form)
-    if stop_at_cap:
-        limit = [1 if symmetry else k] + [k] * k
-        weight = [1] * (k + 1)
-    else:
-        limit = [min(k, top + 1) for top in range(k + 1)]
-        weight = _orbit_weights(k, symmetry)
+    tops_of, weights = (t.tolist() for t in _walk_table(k, symmetry, not stop_at_cap))
     counts: list[int] = []
     best_word: tuple[int, ...] = ()
     cap_word: Optional[tuple[int, ...]] = None
@@ -265,10 +269,11 @@ def _dfs(
     while stack:
         a = stack[-1]
         top = tops[-1]
-        if a < limit[top]:
-            top = max(top, a + 1)
+        weight = weights[top][a] if a < k else 0
+        if weight:
+            top = tops_of[top][a]
             try:
-                budget.tick(weight[top])
+                budget.tick(weight)
             except BudgetExceededError:
                 aborted = True
                 break
@@ -276,12 +281,12 @@ def _dfs(
             d = len(w)
             if not w.power_ends_at_last():
                 if d > len(counts):  # the first survivor of this depth
-                    counts.append(weight[top])
+                    counts.append(weight)
                     best_word = tuple(w._letters)
                     if progress is not None:
                         progress(d, budget.units, counts[d - 1])
                 else:
-                    counts[d - 1] += weight[top]
+                    counts[d - 1] += weight
                 if d < depth_cap:
                     stack.append(0)
                     tops.append(top)
@@ -319,11 +324,7 @@ def _count_batched(
     n_keys = len(unit)
     # grow[a, c] is what one more letter a adds to letter c's step
     grow = weight.transpose(2, 1, 0)
-    # indexed by a parent's top: its children's tops, and their weights
-    # (0 for the letters not tried)
-    rows = np.arange(k + 1)[:, None]
-    tops_of = np.maximum(rows, np.arange(1, k + 1))
-    units_of = np.array(_orbit_weights(k, symmetry))[tops_of] * (np.arange(k) <= rows)
+    tops_of, units_of = _walk_table(k, symmetry, True)
     counts: list[int] = []
     # a batch: per parent its keys at every prefix, its top and its steps,
     # step[i, c] = what appending c adds to its last keys
@@ -430,14 +431,14 @@ def count_avoiding(
 ) -> CountTable:
     """Exact counts of (m, p)-power-free words of each length 1..n_max.
 
-    Explores the full pruned tree; a budget overrun raises rather than
+    Explores the full pruned tree; if it dies first, the table ends with
+    the 0 of its first empty length.  A budget overrun raises rather than
     returning a silently short table.
     """
     opts = dict(symmetry=symmetry, node_budget=node_budget, budget_ms=budget_ms, progress=progress)
     _check_order(m)
     _check_int(n_max, "search depth cap", 1)
-    # the table holds a count per length, and at orders 1, 2 the int64 keys
-    # hold shorter words only
+    # at orders 1, 2 the int64 keys hold shorter words only
     if n_max >= _VECTOR_MAX_LEN:
         raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN}")
     if m <= 2:
@@ -453,7 +454,7 @@ def count_avoiding(
         order=m,
         power=p,
         n_max=n_max,
-        counts=tuple(res.counts) + (0,) * (n_max - len(res.counts)),
+        counts=tuple(res.counts) + (0,) * (len(res.counts) < n_max),
         symmetry_reduced=symmetry,
         nodes=res.nodes,
     )

@@ -414,18 +414,16 @@ class PrefixIndex:
         self._iwords = index_words(k, m)
         self._updates = _extend_updates(k, m)
         self._splits = _split_table(k, m)
-        if m > 2:  # orders 3, 4 grow the columns letter by letter
-            self._letters, self._cols = [], [[0] for _ in self._iwords]
-            for a in wd.letters:
-                self._push(a)
-            return
-        # one pass per column: letter a sums [c = a], pair ab sums A_a before each b
+        # one pass per column, a level per pattern length: letter a sums
+        # [c = a], pattern xb sums count(prefix, x) before each b; the
+        # (x, b) of product(level, hits) come in index_words order
         self._letters = list(wd.letters)
         hits = [list(map(a.__eq__, self._letters)) for a in range(k)]
-        self._cols = [list(accumulate(h, initial=0)) for h in hits]
-        if m == 2:  # pairs (a, b) in index_words order
-            pairs = product(self._cols, hits)
-            self._cols += [list(accumulate(map(mul, c, h), initial=0)) for c, h in pairs]
+        level = [list(accumulate(h, initial=0)) for h in hits]
+        self._cols = list(level)
+        for _ in range(m - 1):
+            level = [list(accumulate(map(mul, c, h), initial=0)) for c, h in product(level, hits)]
+            self._cols += level
 
     def __len__(self) -> int:
         return len(self._letters)

@@ -91,6 +91,20 @@ class TestIndividualChecks:
             " imbalance clause checked: 0",
         )
 
+    def test_constant_imbalance_reaches_the_imbalance_clause(self, monkeypatch):
+        # no abelian square of the fixed point's prefix has u and v of equal
+        # imbalance, so the clause's conclusion never runs there; with every
+        # imbalance 0 it runs on each square, and the preimages of those
+        # whose letter counts differ must be reported
+        monkeypatch.setattr(checks, "ascent_imbalance", lambda w: 0)
+        rep = run_check("desubstitution", SMALL)
+        assert rep.notes == (
+            "distinct abelian squares: 60; both cases applied: 0;"
+            " imbalance clause checked: 60",
+        )
+        assert not rep.passed
+        assert rep.violations_total == 36
+
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):
             run_check("nonsense", SMALL)

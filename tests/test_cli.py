@@ -235,6 +235,15 @@ class TestSearchAndCount:
         assert lines[1] == "length\tcount"
         assert lines[2:] == ["1\t2", "2\t2", "3\t2", "4\t0"]
 
+    def test_count_table_ends_where_the_tree_dies(self, capsys):
+        # the binary square-free tree dies at length 4, so the table ends
+        # there whatever n_max, and the largest n_max builds no more rows
+        code, out, err = run(
+            capsys, "count", "-k", "2", "-m", "2", "-p", "2", "--n-max", "2147483647", "--quiet"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["1\t2", "2\t2", "3\t2", "4\t0"]
+
     def test_count_progress_on_stderr(self, capsys):
         argv = ["count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "6"]
         code, out, err = run(capsys, *argv)
@@ -256,7 +265,7 @@ class TestSearchAndCount:
     @pytest.mark.parametrize("m", [2, 3])
     def test_count_past_the_int64_keys_exit_two(self, capsys, m):
         # an order-1/2 count keeps int64 keys, which hold words shorter than
-        # detect._VECTOR_MAX_LEN, and a count at every order a table of
+        # detect._VECTOR_MAX_LEN, and a count at every order may tabulate
         # n_max counts; a longer n_max is refused before any of them is built
         code, out, err = run(
             capsys,

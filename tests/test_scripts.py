@@ -115,20 +115,30 @@ def test_bench_smoke(tmp_path):
     assert 0 < wall["q1"] == wall["median"] == wall["q3"]
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "numpy"}
     assert record["host"]["nproc"] >= 1
-    # the working tree's src/ is byte-compiled before the first run
-    pkg = ROOT / "src" / "binwords"
-    cached = {p.name.split(".")[0] for p in (pkg / "__pycache__").glob("*.pyc")}
-    assert cached >= {p.stem for p in pkg.glob("*.py")}
+    # the change runs from an unpacked, byte-compiled copy of the working
+    # tree, its files as they are now, not as committed
+    with load_bench().checkout(None) as path:
+        assert_byte_compiled(path)
+        for name in ("src/binwords/search.py", "scripts/bench.py"):
+            assert (path / name).read_bytes() == (ROOT / name).read_bytes()
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def assert_byte_compiled(path: Path) -> None:
+    cache = path / "src" / "binwords" / "__pycache__"
+    compiled = {p.name.split(".")[0] for p in cache.glob("*.pyc")}
+    sources = {p.stem for p in (path / "src" / "binwords").glob("*.py")}
+    assert sources and compiled == sources
 
 
 def test_bench_parent_checkout_is_byte_compiled():
     # setup_s compares like with like: the unpacked parent imports from
-    # bytecode, as the byte-compiled working tree does
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    with bench.checkout("HEAD") as path:
-        cache = path / "src" / "binwords" / "__pycache__"
-        compiled = {p.name.split(".")[0] for p in cache.glob("*.pyc")}
-        sources = {p.stem for p in (path / "src" / "binwords").glob("*.py")}
-        assert sources and compiled == sources
+    # bytecode, as the unpacked working tree does
+    with load_bench().checkout("HEAD") as path:
+        assert_byte_compiled(path)

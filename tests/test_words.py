@@ -423,8 +423,9 @@ class TestPrefixIndex:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_pass_build_matches_push(self, k, m):
-        # the constructor builds the columns in one pass at m <= 2; they
-        # must be those of an index grown letter by letter
+        # the constructor builds the columns one pass per column, a level
+        # per pattern length; they must be those of an index grown letter
+        # by letter
         rng = random.Random(f"{k}:{m}")
         for n in range(41):
             w = Word(tuple(rng.randrange(k) for _ in range(n)), Alphabet(k))
