@@ -142,6 +142,9 @@ def cmd_detect(args) -> int:
     if len(sources) > 1:
         raise InvalidInputError("detect takes exactly one of --word, --preset, --morphism")
     if args.word is not None:
+        for given, option in ((args.n, "-n"), (args.letter, "--letter")):
+            if given is not None:
+                raise InvalidInputError(f"detect --word takes no {option}: it applies to fixed points")
         report = scan_word(
             args.word, args.m, args.p, engine=args.engine, budget_ms=budget
         )

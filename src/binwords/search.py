@@ -5,9 +5,11 @@ order, and prunes a branch as soon as an (m, p)-power ends at the freshly
 appended letter.  That suffix-anchored test is sound and complete: a word
 contains a power iff some prefix contains one ending at its own last
 position.  Depth first, the search word grows and shrinks one letter at a
-time and owns that test: at orders 3 and 4 it is a PrefixIndex asking
-O(length / p) block comparisons, at orders 1 and 2 a numpy test of int64
-keys, against which the tests run the key-free PrefixIndex word.
+time and owns that test: its hits() gives all its children's verdicts when
+the walk expands it, and only survivors shorter than the cap are pushed.
+At orders 3 and 4 it is a PrefixIndex asking O(length / p) block
+comparisons per child, at orders 1 and 2 one numpy test of int64 keys,
+against which the tests run the key-free PrefixIndex word.
 
 `longest_avoiding` stops at the first word reaching the cap (the tree is
 alive) or exhausts the tree (exact maximal length); `count_avoiding`
@@ -25,16 +27,17 @@ The search and the counts at orders 3 and 4 walk depth first (_dfs).  At
 orders 1 and 2 a count walks the same orbit tree in batches of up to
 _BATCH words of one depth (_count_batched), the split by order that
 detect makes between its engines.  At these orders a word is its int64
-keys (detect._key_growth) at every prefix and per-letter steps: a child's
-keys are its parent's last keys plus its letter's step, and one numpy test
-(_children) checks all children of a batch, or of the search word's last
-prefix (_KeyWord), at every period.  Survivors go back on a stack of
-batches, so the pending key histories stay within about n_max * k *
-_BATCH rows.  A count's table ends at n_max or at the first length with
-no survivor, and a count refuses n_max >= detect._VECTOR_MAX_LEN at
-every order.  Its budget is ticked per batch, and child by child in a
-batch that would pass a unit cap, so it aborts on the same node every run;
-progress is reported when a batch first reaches a depth, in batch order.
+keys (detect._key_growth) at every prefix and its step, what appending
+each letter adds to its last keys: a child's keys are its parent's last
+keys plus its letter's step, and one numpy test (_children) checks all
+children of a batch, or of the search word (_KeyWord), at every period.
+Survivors go back on a stack of batches, so the pending key histories
+stay within about n_max * k * _BATCH rows.  A count's table ends at n_max
+or at the first length with no survivor, and a count refuses n_max >=
+detect._VECTOR_MAX_LEN at every order.  Its budget is ticked per batch,
+and child by child in a batch that would pass a unit cap, so it aborts on
+the same node every run; progress is reported when a batch first reaches
+a depth, in batch order.
 """
 
 from __future__ import annotations
@@ -146,66 +149,67 @@ def _children(hist: np.ndarray, step: np.ndarray, p: int) -> tuple[np.ndarray, n
 
 
 class _SearchWord(PrefixIndex):
-    """The search word at orders 3 and 4, a PrefixIndex asking its block
-    test at every period; at orders 1 and 2 the tests' reference for
-    _KeyWord, on letter counts and signatures, not keys.  cap is unused; it
-    keeps _KeyWord's signature."""
+    """The search word at orders 3 and 4, a PrefixIndex whose hits() pushes
+    each letter it holds, asks its block test at every period and pops it;
+    at orders 1 and 2 the tests' reference for _KeyWord, on letter counts
+    and signatures, not keys.  cap is unused; it keeps _KeyWord's signature."""
 
     def __init__(self, k: int, m: int, p: int, cap: int) -> None:
         super().__init__(Word((), Alphabet(k)), m)
         self._p = p
 
-    def power_ends_at_last(self) -> bool:
-        n, p = len(self._letters), self._p
-        return any(self.blocks_equivalent(n - p * t, t, p) for t in range(1, n // p + 1))
+    def hits(self) -> list[bool]:
+        n, p = len(self._letters) + 1, self._p
+        # a power's first block holds its last letter, so a new letter ends none
+        out = [False] * self.alphabet.size
+        for a in set(self._letters):
+            self._push(a)
+            out[a] = any(self.blocks_equivalent(n - p * t, t, p) for t in range(1, n // p + 1))
+            self._pop()
+        return out
 
 
 class _KeyWord:
     """The search word at orders 1 and 2, held as _count_batched holds a
-    parent: int64 keys planned for cap and steps at every prefix, grown by
-    doubling.  The first push onto a prefix flags all its children at once
-    (_children); the flags stay until _pop cuts that prefix."""
+    parent: int64 keys at every prefix, planned for cap and grown by
+    doubling, and one step, what appending each letter adds to the last
+    keys.  hits() is _children on a batch of one."""
 
     def __init__(self, k: int, m: int, p: int, cap: int) -> None:
         self._bound = min(cap, _VECTOR_MAX_LEN - 1)
         unit, weight = _key_growth(k, m, self._bound)
+        # grow[a, c] is what one more letter a adds to letter c's step
         self._grow = weight.transpose(2, 1, 0)
         self._p = p
         self._letters: list[int] = []
-        # per prefix pushed onto since its last cut: which letters end a power
-        self._flags: list[list[bool]] = []
         self._keys = np.zeros((len(unit), 1), np.int64)  # [key, position]
-        self._steps = unit.T[..., None].copy()  # [letter, key, position]
+        self._step = unit.T.copy()  # [letter, key]
 
     def __len__(self) -> int:
         return len(self._letters)
 
+    def _check_room(self) -> None:
+        # the keys hold words of length <= _bound, the children included
+        if len(self._letters) >= self._bound:
+            raise InvalidInputError(f"prefix keys planned for length <= {self._bound}")
+
     def _push(self, a: int) -> None:
+        self._check_room()
         n = len(self._letters)
-        if n == len(self._flags):  # the first push onto this prefix
-            if n >= self._bound:
-                raise InvalidInputError(f"prefix keys planned for length <= {self._bound}")
-            if n == self._keys.shape[1]:  # double, up to the planned bound
-                more = min(n, self._bound - n)
-                self._keys, self._steps = (
-                    np.concatenate((x, np.zeros_like(x[..., :more])), axis=-1)
-                    for x in (self._keys, self._steps)
-                )
-            keys, steps = self._keys, self._steps
-            if n:
-                b = self._letters[-1]
-                np.add(keys[:, n - 1], steps[b, :, n - 1], out=keys[:, n])
-                np.add(steps[..., n - 1], self._grow[b], out=steps[..., n])
-            _, hit = _children(keys[None, :, : n + 1], steps[None, ..., n], self._p)
-            self._flags.append(hit[0].tolist())
+        if n + 1 == self._keys.shape[1]:  # double, up to the planned bound
+            more = min(n + 1, self._bound - n)
+            self._keys = np.concatenate((self._keys, np.zeros_like(self._keys[:, :more])), axis=1)
+        np.add(self._keys[:, n], self._step[a], out=self._keys[:, n + 1])
+        self._step += self._grow[a]
         self._letters.append(a)
 
     def _pop(self) -> None:
-        self._letters.pop()
-        del self._flags[len(self._letters) + 1 :]
+        self._step -= self._grow[self._letters.pop()]
 
-    def power_ends_at_last(self) -> bool:
-        return self._flags[len(self._letters) - 1][self._letters[-1]]
+    def hits(self) -> list[bool]:
+        self._check_room()
+        n = len(self._letters) + 1
+        return _children(self._keys[None, :, :n], self._step[None], self._p)[1][0].tolist()
 
 
 def _start(
@@ -236,8 +240,7 @@ def _walk_table(k: int, symmetry: bool, orbits: bool) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class _DfsResult:
-    best_word: tuple[int, ...]
-    cap_word: Optional[tuple[int, ...]]
+    best_word: list[int]
     counts: list[int]
     nodes: int
     aborted: bool
@@ -259,49 +262,41 @@ def _dfs(
     w = (_KeyWord if m <= 2 else _SearchWord)(k, m, p, depth_cap)
     tops_of, weights = (t.tolist() for t in _walk_table(k, symmetry, not stop_at_cap))
     counts: list[int] = []
-    best_word: tuple[int, ...] = ()
-    cap_word: Optional[tuple[int, ...]] = None
+    best_word: list[int] = []
     aborted = False
-    # stack[-1] is the next letter to try at the current depth and tops[-1]
-    # the top of the search word, which always has len(stack) - 1 letters
-    stack = [0]
-    tops = [0]
-    while stack:
-        a = stack[-1]
-        top = tops[-1]
+    # frames[d] = [next letter to try, top, hits] of the search word's
+    # prefix of length d; the search word is the longest of them
+    frames = [[0, 0, w.hits()]]
+    while frames:
+        a, top, hits = frame = frames[-1]
         weight = weights[top][a] if a < k else 0
-        if weight:
-            top = tops_of[top][a]
-            try:
-                budget.tick(weight)
-            except BudgetExceededError:
-                aborted = True
-                break
-            w._push(a)
-            d = len(w)
-            if not w.power_ends_at_last():
-                if d > len(counts):  # the first survivor of this depth
-                    counts.append(weight)
-                    best_word = tuple(w._letters)
-                    if progress is not None:
-                        progress(d, budget.units, counts[d - 1])
-                else:
-                    counts[d - 1] += weight
-                if d < depth_cap:
-                    stack.append(0)
-                    tops.append(top)
-                    continue
-                if stop_at_cap:
-                    cap_word = tuple(w._letters)
-                    break
+        if not weight:  # no letter left to try
+            frames.pop()
+            if frames:
+                w._pop()
+            continue
+        frame[0] = a + 1
+        try:
+            budget.tick(weight)
+        except BudgetExceededError:
+            aborted = True
+            break
+        if hits[a]:
+            continue
+        d = len(w) + 1
+        if d > len(counts):  # the first survivor of this depth
+            counts.append(weight)
+            best_word = w._letters + [a]
+            if progress is not None:
+                progress(d, budget.units, counts[d - 1])
         else:
-            stack.pop()
-            tops.pop()
-            if not stack:
-                break
-        w._pop()  # the last letter was pruned, reached the cap or ran out of letters
-        stack[-1] += 1
-    return _DfsResult(best_word, cap_word, counts, budget.units, aborted)
+            counts[d - 1] += weight
+        if d < depth_cap:
+            w._push(a)
+            frames.append([0, tops_of[top][a], w.hits()])
+        elif stop_at_cap:  # best_word is this first word of length depth_cap
+            break
+    return _DfsResult(best_word, counts, budget.units, aborted)
 
 
 def _count_batched(
@@ -358,10 +353,10 @@ def _count_batched(
                         stack.append((keys, tops_of[top[up], a], step[up] + grow[a]))
     except BudgetExceededError:
         aborted = True
-    return _DfsResult((), None, counts, budget.units, aborted)
+    return _DfsResult([], counts, budget.units, aborted)
 
 
-def _verified_witness(letters: tuple[int, ...], k: int, m: int, p: int) -> Word:
+def _verified_witness(letters: list[int], k: int, m: int, p: int) -> Word:
     w = Word(letters, Alphabet(k))
     if not is_power_free(w, m, p):
         raise BinwordsError(f"internal error: search witness {w} fails the detector")
@@ -400,8 +395,8 @@ def longest_avoiding(
     outcome, letters = "maximal", res.best_word
     if res.aborted:
         outcome = "budget_abort"
-    elif res.cap_word is not None:
-        outcome, letters = "cap_reached", res.cap_word
+    elif len(letters) == cap:  # the search stopped on its first word of length cap
+        outcome = "cap_reached"
     witness = _verified_witness(letters, k, m, p)
     return SearchCertificate(
         alphabet_size=k,

@@ -177,6 +177,14 @@ class TestDetect:
         code, _, err = run(capsys, "detect")
         assert code == 2
 
+    @pytest.mark.parametrize("option", [["-n", "5"], ["--letter", "2"]])
+    def test_word_refuses_fixed_point_options(self, capsys, option):
+        # -n and --letter choose a fixed point's prefix and seed; a given
+        # word has neither, so they are refused rather than ignored
+        code, out, err = run(capsys, "detect", "--word", "0101", *option)
+        assert (code, out) == (2, "")
+        assert option[0] in err
+
 
 class TestSearchAndCount:
     def test_search_json(self, capsys):

@@ -3,6 +3,7 @@ import re
 from functools import lru_cache
 from math import perm
 
+import numpy as np
 import pytest
 
 import binwords.search as search
@@ -20,7 +21,7 @@ from binwords import (
     word,
 )
 
-from binwords.detect import _key_plan, _scan_keys
+from binwords.detect import _key_growth, _key_plan, _scan_keys
 from oracles import all_words, naive_find_power
 
 
@@ -111,6 +112,19 @@ class TestLongestAvoiding:
         cert = longest_avoiding(2, 2, 3, 50)
         assert cert.outcome == "cap_reached"
         assert is_power_free(cert.witness, 2, 3)
+
+    @pytest.mark.parametrize("k, m, p", [(2, 2, 2), (1, 2, 3), (2, 3, 2), (2, 1, 3)])
+    def test_outcome_at_caps_around_the_maximal_length(self, k, m, p):
+        # the search stops on its first word of length cap, so a tree whose
+        # longest words have length cap reads cap_reached, and one that
+        # dies one letter before the cap reads maximal
+        best = longest_avoiding(k, m, p, 100)
+        n = best.max_length
+        assert best.outcome == "maximal"
+        for cap, outcome in ((n - 1, "cap_reached"), (n, "cap_reached"), (n + 1, "maximal")):
+            cert = longest_avoiding(k, m, p, cap)
+            assert (cert.outcome, len(cert.witness)) == (outcome, min(cap, n))
+        assert longest_avoiding(k, m, p, n).witness == best.witness
 
     def test_witness_is_lex_least_survivor(self):
         cert = longest_avoiding(2, 2, 2, 100)
@@ -406,18 +420,26 @@ class TestCrossChecks:
 @pytest.mark.parametrize("k, m", [(1, 2), (2, 1), (3, 2), (4, 2), (3, 3), (2, 4)])
 def test_search_word_keeps_the_columns_it_reads(k, m):
     # through pushes and pops, the search word keeps what its suffix test
-    # reads: at m <= 2 the int64 keys of every prefix it pushed onto (the
-    # scan's keys, planned for its cap), at m > 2 every signature column
+    # reads: at m <= 2 the int64 keys of every prefix (the scan's keys,
+    # planned for its cap) and the step of its letters, at m > 2 every
+    # signature column
     letters = [(i * i + i // 3) % k for i in range(40)]
     w = (search._KeyWord if m <= 2 else search._SearchWord)(k, m, 2, len(letters))
     for n, a in enumerate(letters, 1):
+        w.hits()
         w._push(a)
-        w.power_ends_at_last()
         if n % 7 == 0:
             w._pop()
             w._push(a)
+    for _ in range(5):
+        w._pop()
     wd = Word(tuple(letters), Alphabet(k))
     if m <= 2:
-        assert (w._keys[:, : len(w)] == _scan_keys(wd, m)[0][:, : len(w)]).all()
+        n = len(w) + 1
+        assert (w._keys[:, :n] == _scan_keys(wd, m)[0][:, :n]).all()
+        # step[c, g] = unit[g, c] + the sum over a of weight[g, c, a] * A_a
+        unit, weight = _key_growth(k, m, len(letters))
+        counts = np.bincount(w._letters, minlength=k)
+        assert (w._step == unit.T + (weight @ counts).T).all()
     else:
-        assert w._cols == PrefixIndex(wd, m)._cols
+        assert w._cols == PrefixIndex(wd[: len(w)], m)._cols

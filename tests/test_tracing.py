@@ -40,6 +40,7 @@ def test_every_patched_binding_resolves(spans):
 def test_traced_search_counts_and_restores(spans):
     # an order-2 search tests children on int64 keys, with no block test;
     # an order-3 search asks PrefixIndex.blocks_equivalent at every period
+    # for each child, of a letter the word holds, of every word it expands
     before = bindings(spans)
     tracer = spans.Tracer()
     with spans.tracing(binwords, tracer):
@@ -52,7 +53,7 @@ def test_traced_search_counts_and_restores(spans):
         cert = binwords.search.longest_avoiding(3, 3, 2, 40)
     assert cert.outcome == "cap_reached"
     metrics = spans.pass_metrics(tracer.names, tracer.drain())
-    assert metrics["words.blocks_equivalent.calls"] == 893
+    assert metrics["words.blocks_equivalent.calls"] == 1072
     assert metrics["search.nodes"] == 82
     assert all(a is b for a, b in zip(bindings(spans), before, strict=True))
 

@@ -1,9 +1,12 @@
 """The int64 keys: their bounds as code, the scan's keys against the
 fields recomputed from their definition, the numpy kernel against the
 naive oracle with negative controls; then the same keys in the order-1/2
-search word (search._KeyWord), whose child test is checked against
-signatures of its last blocks and whose searches are checked against the
-PrefixIndex word (search._SearchWord), which reads no key.
+search word (search._KeyWord), whose verdicts for all children of every
+word it passes through, hits(), are checked against signatures of their
+last blocks and against the PrefixIndex word (search._SearchWord), which
+reads no key, as are its searches.  Negative controls show the check
+catches a step that a pop does not take back and keys that a regrown
+word does not rewrite.
 
 detect._key_plan lays out the prefix counts of letters 0..k-2 and, at
 order 2, the antisymmetric pair counts D_ab = |prefix|_ab - |prefix|_ba of
@@ -366,8 +369,8 @@ def test_one_letter_words(m, p):
         assert got == naive_find_power(letters, m, p, 1)
     w = search._KeyWord(1, m, p, 16)
     for n in range(1, 17):
+        assert w.hits() == [ends_with_power([0] * n, m, p, 1)]
         w._push(0)
-        assert w.power_ends_at_last() == ends_with_power([0] * n, m, p, 1)
 
 
 # ---------------------------------------------------------------- the scan's keys
@@ -408,14 +411,16 @@ def test_scan_keys_hold_the_plan_fields(k):
 
 def test_keys_past_the_planned_bound_are_refused():
     # keys planned for length n cannot hold a longer word's fields, so the
-    # search word refuses to grow past n instead of writing keys that could
-    # overflow
+    # search word refuses to grow past n, or to test children past it,
+    # instead of writing keys that could overflow
     w = search._KeyWord(2, 2, 3, 8)
-    for a in (0, 0, 1, 0, 1, 1, 0, 1):
+    for a in (0, 0, 1, 0, 1, 1, 0):
         w._push(a)
-    assert not w.power_ends_at_last()
-    with pytest.raises(InvalidInputError):
-        w._push(1)
+    assert not w.hits()[1]
+    w._push(1)
+    for grow in (w.hits, lambda: w._push(1)):
+        with pytest.raises(InvalidInputError):
+            grow()
     assert len(w) == 8
 
 
@@ -457,11 +462,18 @@ def suffix_power(letters, m, p, k):
 @given(regrown_words(), st.sampled_from([1, 2]), st.sampled_from([2, 3, 4]))
 def test_search_word_suffix_test_matches_python(script, m, p):
     # replay the script on the key word and the PrefixIndex word in
-    # lockstep, as the search does, asking both after every push and pop;
-    # each is compared with block signatures
+    # lockstep, as the search does, asking both for every child's verdict
+    # on the empty word and after every push and pop; each row is compared
+    # with block signatures
     k, segments = script
     pair = [make(k, m, p, SEARCH_WORD_CAP) for make in (search._KeyWord, search._SearchWord)]
     keys = pair[0]
+
+    def check():
+        want = [suffix_power(keys._letters + [c], m, p, k) for c in range(k)]
+        assert [w.hits() for w in pair] == [want, want]
+
+    check()
     for drop, grow in segments:
         for a in [None] * min(drop, len(keys)) + grow:  # None pops
             for w in pair:
@@ -469,9 +481,7 @@ def test_search_word_suffix_test_matches_python(script, m, p):
                     w._pop()
                 else:
                     w._push(a)
-            if len(keys):
-                want = suffix_power(keys._letters, m, p, k)
-                assert [w.power_ends_at_last() for w in pair] == [want, want]
+            check()
 
 
 def test_search_word_without_stage_two_is_caught(monkeypatch):
@@ -482,10 +492,30 @@ def test_search_word_without_stage_two_is_caught(monkeypatch):
         test_search_word_suffix_test_matches_python()
 
 
-def test_stale_flags_are_caught(monkeypatch):
-    # negative control: a key word whose _pop keeps the flags of the
-    # prefixes it cut, so a regrown word reads its old children's flags
+def test_stale_step_is_caught(monkeypatch):
+    # negative control: a key word whose _pop drops the letter but not its
+    # growth of the step, so a regrown word's keys count the popped letters
     monkeypatch.setattr(search._KeyWord, "_pop", lambda self: self._letters.pop())
+    with pytest.raises(AssertionError):
+        test_search_word_suffix_test_matches_python()
+
+
+def test_reused_keys_are_caught(monkeypatch):
+    # negative control: a key word whose _push writes a position's keys only
+    # the first time it reaches it, so a regrown word reads the keys of the
+    # letters it popped
+    push = search._KeyWord._push
+
+    def push_once(self, a):
+        n = len(self) + 1
+        reached = getattr(self, "reached", 0)
+        old = self._keys[:, n].copy() if n <= reached else None
+        push(self, a)
+        if old is not None:
+            self._keys[:, n] = old
+        self.reached = max(reached, n)
+
+    monkeypatch.setattr(search._KeyWord, "_push", push_once)
     with pytest.raises(AssertionError):
         test_search_word_suffix_test_matches_python()
 
@@ -512,5 +542,6 @@ def test_search_with_numpy_from_shallow_depths(monkeypatch, k, m, p, cap, symmet
         return longest_avoiding(k, m, p, cap, symmetry=symmetry, node_budget=node_budget).to_dict()
 
     got = run()
+    assert (got["outcome"] == "cap_reached") == (len(got["witness"]) == cap)
     monkeypatch.setattr(search, "_KeyWord", search._SearchWord)
     assert got == run()
