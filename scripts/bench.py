@@ -14,7 +14,10 @@ starts there.  With --parent REV, the files of REV are unpacked by `git
 archive` into another temporary directory and byte-compiled the same way,
 and every seed runs once on each side, the order alternating from pair to
 pair so that a drift of the host's speed does not favour one side.  Each
-pair then records, per metric, the ratio change / parent and the winner.
+pair then records, per metric, the ratio change / parent and the winner,
+and each workload the claim rule per metric: whether the change won at
+least 9 of 10 pairs, and whether its median beats the parent's by more
+than the parent's quartile spread; a claimed gain needs both ("holds").
 Both sides thus run from a fresh copy and import from bytecode, so
 `setup_s` compares like with like.  The directories are removed
 afterwards; git's state and this checkout are not touched.
@@ -106,6 +109,28 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
     return out
 
 
+def claim(entry: dict, better: dict[str, str]) -> dict:
+    """Per metric, the rule a claimed gain must meet: the change wins at
+    least 9 of 10 pairs, and its median beats the parent's by more than the
+    parent's quartile spread (q3 - q1)."""
+    out = {}
+    for name, par in entry["parent_summary"].items():
+        wins = sum(p["metrics"][name]["winner"] == "change" for p in entry["pairs"])
+        sign = -1 if better.get(name, "lower") == "higher" else 1
+        gain = sign * (par["median"] - entry["summary"][name]["median"])
+        spread = par["q3"] - par["q1"]
+        out[name] = {
+            "wins": wins,
+            "pairs": len(entry["pairs"]),
+            "gain": gain,
+            "parent_spread": spread,
+            "wins_9_of_10": 10 * wins >= 9 * len(entry["pairs"]),
+            "beyond_spread": gain > spread,
+        }
+        out[name]["holds"] = out[name]["wins_9_of_10"] and out[name]["beyond_spread"]
+    return out
+
+
 @contextmanager
 def checkout(rev: Optional[str]) -> Iterator[Path]:
     """The committed files of rev, or with rev None the working tree's
@@ -159,10 +184,7 @@ def bench(workloads: list[str], seeds: list[int], seconds: float,
             entry["parent_runs"] = parent_runs
             entry["parent_summary"] = summary(parent_runs)
             entry["pairs"] = pairs
-            entry["wins"] = {
-                name: sum(p["metrics"][name]["winner"] == "change" for p in pairs)
-                for name in change_runs[0]["metrics"]
-            }
+            entry["claim"] = claim(entry, better)
         record["workloads"][workload] = entry
     env = change_runs[0]["env"]
     record["host"] = {key: env.get(key) for key in ("nproc", "cpu_model", "python", "numpy")}

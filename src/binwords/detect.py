@@ -10,11 +10,12 @@ minimal period, scanning candidates in that order.  Two independent
 engines share the semantics.  The python engine asks PrefixIndex block
 tests, which compare letter counts and then factor signatures.  The numpy
 engine (orders 1 and 2) vectorizes each period over all starts on the
-int64 keys of _key_plan (_scan_keys) in two stages: a uint16 fingerprint
-of every field, linear mod 2**16, at every start, then the exact keys on
-its survivors.  Equal key differences give equal fingerprint differences,
-so the screen drops no occurrence, and a fingerprint collision only adds
-work to the exact stage, which decides.  The numpy engine runs on words of
+int64 keys of _key_plan (_scan_keys) in two stages, each testing adjacent
+block pairs by second differences: a uint16 fingerprint of every field,
+linear mod 2**16, at every start, then the exact keys on its survivors.
+Equal key differences give equal fingerprint differences, so the screen
+drops no occurrence, and a collision only adds work to the exact stage,
+which decides.  The numpy engine runs on words of
 _VECTOR_MIN_LEN letters and up, where its per-call cost pays off.
 Results are cross-verified by independent signature recomputation.
 """
@@ -213,31 +214,25 @@ def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarray:
-    """The starts whose p blocks of length t have equal differences on every key."""
-    for key in keys:
-        if not starts.size:
-            break
-        ends = [key[starts + j * t] for j in range(p + 1)]
-        first = ends[1] - ends[0]
-        keep = ends[2] - ends[1] == first
-        for j in range(2, p):
-            keep &= ends[j + 1] - ends[j] == first
-        starts = starts[keep]
-    return starts
+    """The starts whose p blocks of length t have equal differences on every
+    key: block ends e with e[j] + e[j+2] == 2 e[j+1], exact mod 2**64."""
+    ends = keys.take(starts + np.arange(0, (p + 1) * t, t)[:, None], axis=1)  # [key, j, start]
+    return starts[(ends[:, :-2] + ends[:, 2:] == ends[:, 1:-1] << 1).all(axis=(0, 1))]
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
-    """Period-major scan in two stages.  The uint16 fingerprint is compared
-    at every start of a period at once; every int64 key, on its survivors
-    only.  The fingerprint is linear in the fields mod 2**16, so blocks
-    with equal field differences have equal fingerprint differences and no
-    occurrence is screened out; a collision only passes a start on to the
-    exact keys, which decide.  The winner in (start, period) order is kept
-    across periods; only strictly smaller starts can improve it, so the
-    scanned start range shrinks as hits accumulate.
+    """Period-major scan in two stages.  A p-power at s is p - 1 adjacent
+    pairs of equivalent blocks, each with second difference 0: the pair
+    screen tests F[s] + F[s+2t] == 2 F[s+t] on the uint16 fingerprint F at
+    every start of a period at once.  F is linear in the fields mod 2**16,
+    so no occurrence is screened out.  A period with no survivor is
+    skipped at its first hit (argmax); otherwise _survivors decides on the
+    int64 keys.  Only strictly smaller starts can improve the winner, so
+    the scanned start range shrinks as hits accumulate.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
+    doubled = fingerprint << 1
     best: Optional[tuple[int, int]] = None
     for t in range(1, n // p + 1):
         smax = n - p * t + 1
@@ -246,20 +241,20 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         if smax <= 0:
             break
         budget.tick(smax)
-        counts = fingerprint[t : p * t + smax] - fingerprint[: (p - 1) * t + smax]
-        base = counts[:smax]
-        valid = counts[t : t + smax] == base
-        for j in range(2, p):
-            valid &= counts[j * t : j * t + smax] == base
+        span = (p - 2) * t + smax
+        pairs = fingerprint[:span] + fingerprint[2 * t : 2 * t + span] == doubled[t : t + span]
+        valid = pairs[:smax]
+        for j in range(1, p - 1):
+            valid = valid & pairs[j * t : j * t + smax]
+        if not valid[valid.argmax()]:  # argmax stops at the first survivor
+            continue
         hits = _survivors(keys, valid.nonzero()[0], t, p)
         if hits.size:
             # smax <= best[0], so any hit improves the winner
             best = (int(hits[0]), t)
             if best[0] == 0:
                 break
-    if best is None:
-        return None
-    return Occurrence(best[0], best[1], p, m)
+    return None if best is None else Occurrence(*best, p, m)
 
 
 def _verify_occurrence(wd: Word, occ: Occurrence) -> None:

@@ -262,7 +262,8 @@ def _dfs(
     w = (_KeyWord if m <= 2 else _SearchWord)(k, m, p, depth_cap)
     tops_of, weights = (t.tolist() for t in _walk_table(k, symmetry, not stop_at_cap))
     counts: list[int] = []
-    best_word: list[int] = []
+    # None while the first word of the deepest length is the search word
+    best_word: Optional[list[int]] = None
     aborted = False
     # frames[d] = [next letter to try, top, hits] of the search word's
     # prefix of length d; the search word is the longest of them
@@ -273,6 +274,8 @@ def _dfs(
         if not weight:  # no letter left to try
             frames.pop()
             if frames:
+                if best_word is None:
+                    best_word = w._letters[:]  # before the pop shortens it
                 w._pop()
             continue
         frame[0] = a + 1
@@ -286,7 +289,7 @@ def _dfs(
         d = len(w) + 1
         if d > len(counts):  # the first survivor of this depth
             counts.append(weight)
-            best_word = w._letters + [a]
+            best_word = None if d < depth_cap else w._letters + [a]
             if progress is not None:
                 progress(d, budget.units, counts[d - 1])
         else:
@@ -296,6 +299,8 @@ def _dfs(
             frames.append([0, tops_of[top][a], w.hits()])
         elif stop_at_cap:  # best_word is this first word of length depth_cap
             break
+    if best_word is None:
+        best_word = w._letters[: len(counts)]
     return _DfsResult(best_word, counts, budget.units, aborted)
 
 

@@ -1,5 +1,8 @@
+import __future__
+import inspect
 import os
 import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -28,3 +31,26 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """mutate(module, name, old, new) replaces the function module.name by
+    a copy whose source reads new for old: a negative control's mutant of
+    one line inside a function, undone after the test."""
+
+    def apply(module, name, old, new):
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(old) == 1, f"{old!r} is not in {name} once"
+        code = compile(
+            source.replace(old, new),
+            module.__file__,
+            "exec",
+            flags=__future__.annotations.compiler_flag,
+            dont_inherit=True,
+        )
+        namespace = dict(vars(module))
+        exec(code, namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return apply

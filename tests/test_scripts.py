@@ -104,15 +104,28 @@ def test_bench_smoke(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = run_script(
         "bench.py", "--workload", "search", "--seeds", "1", "--seconds", "0.1",
-        "--out", str(out),
+        "--parent", "HEAD", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert record["seeds"] == [1]
-    (run,) = record["workloads"]["search"]["runs"]
+    entry = record["workloads"]["search"]
+    (run,) = entry["runs"]
     assert run["correct"] and run["failed"] == 0
-    wall = record["workloads"]["search"]["summary"]["wall_s"]
+    wall = entry["summary"]["wall_s"]
     assert 0 < wall["q1"] == wall["median"] == wall["q3"]
+    # the claim rule, per metric, read off the pair and the two summaries
+    (pair,) = entry["pairs"]
+    better = load_bench().directions()
+    assert set(entry["claim"]) == set(run["metrics"])
+    for name, rule in entry["claim"].items():
+        change, parent = entry["summary"][name], entry["parent_summary"][name]
+        won = pair["metrics"][name]["winner"] == "change"
+        assert (rule["wins"], rule["pairs"], rule["wins_9_of_10"]) == (won, 1, won)
+        assert rule["parent_spread"] == 0
+        gain = parent["median"] - change["median"]
+        assert rule["gain"] == (-gain if better[name] == "higher" else gain)
+        assert rule["holds"] == (won and rule["gain"] > 0)
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "numpy"}
     assert record["host"]["nproc"] >= 1
     # the change runs from an unpacked, byte-compiled copy of the working
@@ -121,6 +134,36 @@ def test_bench_smoke(tmp_path):
         assert_byte_compiled(path)
         for name in ("src/binwords/search.py", "scripts/bench.py"):
             assert (path / name).read_bytes() == (ROOT / name).read_bytes()
+
+
+def test_bench_claim_rule():
+    # 9 of 10 pairs won and a median gain past the parent's quartile spread
+    bench = load_bench()
+
+    def runs(values):
+        return [{"metrics": {"wall_s": v, "work_per_s": 1 / v}} for v in values]
+
+    def entry(parent, change):
+        pairs = [{"metrics": bench.compare(p, c, bench.directions())}
+                 for p, c in zip(runs(parent), runs(change))]
+        return {"parent_summary": bench.summary(runs(parent)),
+                "summary": bench.summary(runs(change)), "pairs": pairs}
+
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    spread = 1.675 - 1.225  # q3 - q1 of parent
+    cases = [
+        ([v - 0.5 for v in parent], 10, True),  # gain 0.5 > spread
+        ([v - 0.4 for v in parent], 10, False),  # gain 0.4 < spread
+        ([v - 0.5 for v in parent[:9]] + [2.5], 9, True),
+        ([v - 0.5 for v in parent[:8]] + [2.5, 2.5], 8, False),  # 8 of 10
+    ]
+    for change, wins, holds in cases:
+        rule = bench.claim(entry(parent, change), bench.directions())
+        assert rule["wall_s"]["wins"] == rule["work_per_s"]["wins"] == wins
+        assert rule["wall_s"]["holds"] == holds
+        assert abs(rule["wall_s"]["parent_spread"] - spread) < 1e-12
+        # higher is better: the gain is the rise of the median
+        assert rule["work_per_s"]["gain"] > 0
 
 
 def load_bench():

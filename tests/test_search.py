@@ -94,6 +94,13 @@ class TestLongestAvoiding:
         assert cert.counts_complete
         assert cert.nodes > 0
 
+    def test_uncopied_best_word_is_caught(self, mutate):
+        # negative control: a walk that never copies its best word off the
+        # search word reads the emptied word when the tree is exhausted
+        mutate(search, "_dfs", "best_word = w._letters[:]  #", "pass  #")
+        with pytest.raises(AssertionError):
+            self.test_binary_squares_maximal()
+
     def test_unary_cubes_maximal(self):
         cert = longest_avoiding(1, 2, 3, 100)
         assert cert.outcome == "maximal"

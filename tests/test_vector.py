@@ -16,13 +16,15 @@ their key differences agree: one equal-differences test for orders 1 and
 2.  The numpy scan (detect._scan_keys) writes the keys with D signed, each
 the cumulative sum of what each letter adds to it (detect._key_growth),
 and beside them a uint16 fingerprint, the sum over every field f of
-r_f * field_f mod 2**16 with r_f odd.  The scan compares the fingerprint
-at every start and all int64 keys on its survivors only: equal field
-differences give equal fingerprint differences, so the screen drops no
-occurrence, and a collision only passes a start on to the exact keys,
-which decide.  Two negative controls pin that split: an all-zero
-fingerprint leaves the answers right, and a narrow fingerprint trusted
-alone gets them wrong.  Words are drawn from factors of the g and h fixed
+r_f * field_f mod 2**16 with r_f odd.  The scan tests each adjacent pair
+of blocks by its second difference, on the fingerprint at every start and
+on all int64 keys at its survivors only: equal field differences give
+equal fingerprint differences, so the screen drops no occurrence, and a
+collision only passes a start on to the exact keys, which decide.
+Controls pin that split: an all-zero or a 2-bit fingerprint leaves the
+answers right, and the 2-bit one trusted alone gets them wrong, as do an
+exact stage that tests only the first pair and a gate that reads start 0
+for the first survivor.  Words are drawn from factors of the g and h fixed
 points, which are free of 2-binomial squares and cubes, so abelian
 survivors exist and occurrences, if any, sit late.
 """
@@ -302,12 +304,37 @@ def test_exact_stage_decides_alone(monkeypatch):
 
 
 def test_trusting_the_fingerprint_is_caught(monkeypatch):
-    # negative control: a 2-bit fingerprint, whose collisions are certain,
-    # trusted without the exact keys; find_power's recomputation is
-    # switched off too, as in test_skipping_stage_two_is_caught
-    with_fingerprint(monkeypatch, lambda fingerprint: fingerprint & 3)
+    # negative control: a 2-bit fingerprint, the fingerprint mod 4 moved to
+    # the top two bits, so still linear mod 2**16, whose collisions are certain:
+    # with the exact keys on, the answers stay the oracle's; trusted alone,
+    # with find_power's recomputation switched off too, as in
+    # test_skipping_stage_two_is_caught, they are wrong
+    with_fingerprint(monkeypatch, lambda fingerprint: fingerprint << 14)
+    test_vector_kernel_matches_oracle()
     monkeypatch.setattr(detect, "_survivors", lambda keys, starts, t, p: starts)
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_oracle()
+
+
+def test_exact_stage_on_the_first_pair_is_caught(monkeypatch):
+    # negative control: an exact stage that tests only blocks 0 and 1, so
+    # it passes a cube whose first two blocks are equivalent; the all-zero
+    # fingerprint leaves the exact stage to decide alone
+    survivors = detect._survivors
+    with_fingerprint(monkeypatch, np.zeros_like)
+    monkeypatch.setattr(
+        detect, "_survivors", lambda keys, starts, t, p: survivors(keys, starts, t, 2)
+    )
+    monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_oracle()
+
+
+def test_gate_on_the_first_start_is_caught(mutate):
+    # negative control: a first-hit gate that reads start 0, not the first
+    # survivor, skips every period whose power starts later
+    mutate(detect, "_find_vector", "valid[valid.argmax()]", "valid[0]")
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
 
