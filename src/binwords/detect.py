@@ -9,10 +9,11 @@ m = 1 case is abelian powers; one code path covers all of them.
 minimal period, scanning candidates in that order.  Two independent
 engines share the semantics.  The python engine asks PrefixIndex block
 tests, which compare letter counts and then factor signatures.  The numpy
-engine (orders 1 and 2) vectorizes each period over all starts on the
-int64 keys of _key_plan (_scan_keys) in two stages, each testing adjacent
-block pairs by second differences: a uint16 fingerprint of every field,
-linear mod 2**16, at every start, then the exact keys on its survivors.
+engine (orders 1 and 2) vectorizes a band of periods over all their
+starts on the int64 keys of _key_plan (_scan_keys) in two stages, each
+testing adjacent block pairs by second differences: a uint16 fingerprint of
+every field, linear mod 2**16, at every start, then the exact keys on its
+survivors, period by period.
 Equal key differences give equal fingerprint differences, so the screen
 drops no occurrence, and a collision only adds work to the exact stage,
 which decides.  The numpy engine runs on words of
@@ -48,6 +49,8 @@ _VECTOR_MAX_LEN = 2**31
 _KEY_BITS = 62  # per int64 key, so keys and their differences fit int64
 # odd, about 2**16 / the golden ratio: the fingerprint's multipliers are its odd multiples
 _FINGERPRINT_STEP = 0x9E37
+# most elements (rows x span) in a band of the pair screen, which pays its numpy calls once per band
+_BAND_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -224,37 +227,48 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     """Period-major scan in two stages.  A p-power at s is p - 1 adjacent
     pairs of equivalent blocks, each with second difference 0: the pair
     screen tests F[s] + F[s+2t] == 2 F[s+t] on the uint16 fingerprint F at
-    every start of a period at once.  F is linear in the fields mod 2**16,
-    so no occurrence is screened out.  A period with no survivor is
-    skipped at its first hit (argmax); otherwise _survivors decides on the
-    int64 keys.  Only strictly smaller starts can improve the winner, so
-    the scanned start range shrinks as hits accumulate.
+    every start of a band of periods t..t+r-1 at once, row i a strided view
+    of F for period t+i, and ANDs pair j of row i from the same rows shifted
+    j(t+i).  F is linear in the fields mod 2**16, so no occurrence is
+    screened out.  A row with no survivor below its own limit is skipped at
+    its first hit (argmax); otherwise _survivors decides on the int64 keys,
+    row by row.  Only strictly smaller starts can improve the winner, so the
+    scanned start range shrinks as hits accumulate.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
-    doubled = fingerprint << 1
-    best: Optional[tuple[int, int]] = None
-    for t in range(1, n // p + 1):
-        smax = n - p * t + 1
-        if best is not None:
-            smax = min(smax, best[0])
-        if smax <= 0:
-            break
-        budget.tick(smax)
-        span = (p - 2) * t + smax
-        pairs = fingerprint[:span] + fingerprint[2 * t : 2 * t + span] == doubled[t : t + span]
-        valid = pairs[:smax]
+    # zeros past n: a band's rows read at most p(r - 1) < n letters past it
+    padded = np.zeros(2 * n + 2, np.uint16)
+    padded[: n + 1] = fingerprint
+    doubled = padded << 1
+    best: tuple[int, int] = (n + 1, 0)
+    t = 1
+    while (smax := min(n + 1 - p * t, best[0])) > 0:
+        # rows whose limits reach smax, and smax / 4p more, keep padded reads under 1/8 of a band;
+        # r rows span smax + (p - 2)(t + r - 1), so r sized twice has r * span <= _BAND_ELEMENTS
+        r = (n + 1 - p * t - smax) // p + smax // (4 * p)
+        r = min(r, _BAND_ELEMENTS // (smax + (p - 2) * t))
+        r = max(1, min(r, _BAND_ELEMENTS // (smax + (p - 2) * (t + r - 1))))
+        lims = [min(n + 1 - p * u, smax) for u in range(t, t + r)]
+        budget.tick(sum(lims))
+        span = smax + (p - 2) * (t + r - 1)
+        # [i, s] reads F[s + 2(t + i)] and 2 F[s + t + i]: offsets and strides in bytes
+        hi = np.ndarray((r, span), np.uint16, padded, 4 * t, (4, 2))
+        mid = np.ndarray((r, span), np.uint16, doubled, 2 * t, (2, 2))
+        pairs = padded[:span] + hi == mid
+        valid = pairs[:, :smax]
         for j in range(1, p - 1):
-            valid = valid & pairs[j * t : j * t + smax]
-        if not valid[valid.argmax()]:  # argmax stops at the first survivor
-            continue
-        hits = _survivors(keys, valid.nonzero()[0], t, p)
-        if hits.size:
-            # smax <= best[0], so any hit improves the winner
-            best = (int(hits[0]), t)
-            if best[0] == 0:
-                break
-    return None if best is None else Occurrence(*best, p, m)
+            valid = valid & np.ndarray((r, smax), bool, pairs, j * t, (span + j, 1))
+        first = valid.argmax(axis=1)  # argmax stops at each row's first survivor
+        for i in np.flatnonzero(valid[np.arange(r), first]).tolist():
+            lim = min(lims[i], best[0])  # past lims[i] a row reads padding
+            if first[i] < lim:
+                hits = _survivors(keys, valid[i, :lim].nonzero()[0], t + i, p)
+                if hits.size:
+                    # lim <= best[0], so any hit improves the winner
+                    best = (int(hits[0]), t + i)
+        t += r
+    return None if best[1] == 0 else Occurrence(*best, p, m)
 
 
 def _verify_occurrence(wd: Word, occ: Occurrence) -> None:

@@ -22,13 +22,22 @@ on all int64 keys at its survivors only: equal field differences give
 equal fingerprint differences, so the screen drops no occurrence, and a
 collision only passes a start on to the exact keys, which decide.
 Controls pin that split: an all-zero or a 2-bit fingerprint leaves the
-answers right, and the 2-bit one trusted alone gets them wrong, as do an
-exact stage that tests only the first pair and a gate that reads start 0
-for the first survivor.  Words are drawn from factors of the g and h fixed
-points, which are free of 2-binomial squares and cubes, so abelian
-survivors exist and occurrences, if any, sit late.
+answers right, and the 2-bit one trusted alone gets them wrong, as does an
+exact stage that tests only the first pair.  Words are drawn from factors
+of the g and h fixed points, which are free of 2-binomial squares and
+cubes, so abelian survivors exist and occurrences, if any, sit late.
+
+The screen covers a band of consecutive periods per numpy call, one row
+per period.  Free scans of short words make bands of at most 3 rows, so
+words of 150-600 letters, with powers planted in a band's first and last
+rows, are checked against the python engine; a gate that reads each row's
+start 0 for its first survivor, and a p >= 3 row stride without its
+per-row shift, fail there.  A free scan ticks its budget once per band,
+with its candidates in all, and behind an early hit a band's rows times
+its span stay within detect._BAND_ELEMENTS.
 """
 
+import functools
 import itertools
 import random
 
@@ -43,10 +52,12 @@ from binwords import (
     find_power,
     fixed_point_prefix,
     longest_avoiding,
+    parse_morphism,
+    scan_word,
     signature,
     word,
 )
-from binwords.errors import InvalidInputError
+from binwords.errors import Budget, InvalidInputError
 
 from oracles import naive_equivalent, naive_find_power
 
@@ -331,14 +342,6 @@ def test_exact_stage_on_the_first_pair_is_caught(monkeypatch):
         test_vector_kernel_matches_oracle()
 
 
-def test_gate_on_the_first_start_is_caught(mutate):
-    # negative control: a first-hit gate that reads start 0, not the first
-    # survivor, skips every period whose power starts later
-    mutate(detect, "_find_vector", "valid[valid.argmax()]", "valid[0]")
-    with pytest.raises(AssertionError):
-        test_vector_kernel_matches_oracle()
-
-
 def test_fingerprint_is_linear_mod_2_16():
     # g at n = 20000, whose fingerprint sums run far past 2**16 on both
     # sides of 0: at every prefix the uint16 fingerprint is the sum of
@@ -398,6 +401,161 @@ def test_one_letter_words(m, p):
     for n in range(1, 17):
         assert w.hits() == [ends_with_power([0] * n, m, p, 1)]
         w._push(0)
+
+
+# ---------------------------------------------------------------- the band screen
+
+
+class TickLog(Budget):
+    """A scan budget that keeps every tick: one per band of periods."""
+
+    def __init__(self):
+        super().__init__("scan")
+        self.ticks = []
+
+    def tick(self, units=1):
+        self.ticks.append(units)
+        super().tick(units)
+
+
+def bands(n, p):
+    """(first, last) period of every band of a free vector scan of n letters,
+    read from the ticks of a scan of the g prefix at order 2, which has no
+    2-binomial square: a free band ticks n + 1 - p*u starts per period u."""
+    log = TickLog()
+    assert detect._find_vector(fixed_point_prefix(PRESETS["g"].morphism, 0, n), 2, p, log) is None
+    out, t = [], 1
+    for units in log.ticks:
+        r = 1
+        while sum(n + 1 - p * u for u in range(t, t + r)) < units:
+            r += 1
+        assert sum(n + 1 - p * u for u in range(t, t + r)) == units
+        out.append((t, t + r - 1))
+        t += r
+    assert t == n // p + 1
+    return out
+
+
+# its fixed point has no abelian cube (Dekking 1979), so an abelian power planted in it is the answer
+DEKKING = parse_morphism("0->0012,1->112,2->022")
+
+
+def plant(letters, start, period, p, m, rng):
+    """Copy the block at start onto the next p - 1, shuffled at order 1."""
+    block = letters[start : start + period]
+    for j in range(1, p):
+        if m == 1:
+            block = rng.sample(block, period)
+        letters[start + j * period : start + (j + 1) * period] = block
+
+
+@functools.cache
+def long_cases():
+    """(letters, k, m, p, planted, the python engine's answer) for words of
+    150-600 letters over k <= 8: random words, g prefixes, and powers
+    planted in a power-free word (g at order 2, Dekking's word at order 1
+    for p >= 3) in the first row, the last row, the last row ending at the
+    word's end, and both rows of a band, the last row's power starting
+    earlier; planted is the period of the last plant, or None."""
+    rng = random.Random(21)
+    g = fixed_point_prefix(PRESETS["g"].morphism, 0, 600).letters
+    dekking = fixed_point_prefix(DEKKING, 0, 600).letters
+    cases = []
+
+    def add(letters, k, planted=None):
+        want = find_power(letters, m, p, alphabet=k, engine="python")
+        cases.append((letters, k, m, p, planted, want))
+
+    for m, p in itertools.product((1, 2), (2, 3, 4)):
+        for n, k in ((rng.randint(150, 300), rng.randint(3, 8)), (600, 3)):
+            add([rng.randrange(k) for _ in range(n)], k)
+            add(g[:n], 3)
+            if m == 1 and p == 2:
+                continue  # no abelian-square-free base here
+            base = dekking if m == 1 else g
+            wide = [b for b in bands(n, p) if b[1] > b[0]]
+            for first, last in (wide[0], wide[len(wide) // 2]):
+                for rows, end in (((first,), n), ((last,), n), ((last,), None), ((first, last), n)):
+                    letters = [k - 3 + a for a in base[:n]]
+                    for t in rows:  # later plants end before the earlier ones start
+                        if end is None:  # the last start of the row, past which it reads padding
+                            end = n - p * t
+                        elif end < p * t:
+                            break
+                        else:
+                            end = rng.randint(p * t, end) - p * t
+                        plant(letters, end, t, p, m, rng)
+                    else:
+                        add(letters, k, rows[-1])
+    return cases
+
+
+def test_vector_kernel_matches_python_engine_on_long_words():
+    # a free scan of at most MAX_LEN letters makes bands of at most 3 rows;
+    # on 150-600 letters they hold up to 90, so a power in a band's first or
+    # last row, or two in one band, checks each row's strides, limit and
+    # first survivor
+    hits = 0
+    for letters, k, m, p, planted, want in long_cases():
+        occ = find_power(letters, m, p, alphabet=k, engine="vector")
+        assert occ == want, (len(letters), k, m, p, planted)
+        hits += occ is not None and occ.period == planted
+    assert hits > 50
+
+
+def test_gate_on_the_first_start_is_caught(mutate):
+    # negative control: a first-hit gate that reads each row's start 0, not
+    # its first survivor, skips every row whose power starts later
+    long_cases()  # the bands are read from the real kernel
+    mutate(detect, "_find_vector", "valid[np.arange(r), first]", "valid[:, 0]")
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_python_engine_on_long_words()
+
+
+def test_row_stride_without_the_shift_is_caught(mutate):
+    # negative control: at p >= 3 pair j of row i sits j(t + i) past pair 0;
+    # a row stride of span shifts every row by j*t and drops their powers
+    long_cases()  # the bands are read from the real kernel
+    mutate(detect, "_find_vector", "(span + j, 1)", "(span, 1)")
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_python_engine_on_long_words()
+
+
+def test_free_scan_ticks_its_candidates_once_per_band():
+    # the budget counts every (start, period) pair of a free scan, and a
+    # band holds 5 periods or more on average: g at n = 20000 screens its
+    # 10,000 periods in at most 2,000 bands, not one band per period
+    for name, n, p in (("g", 20000, 2), ("h", 6000, 3)):
+        wd = fixed_point_prefix(PRESETS[name].morphism, 0, n)
+        log = TickLog()
+        assert detect._find_vector(wd, 2, p, log) is None
+        assert log.units == sum(log.ticks) == scan_word(wd, 2, p).candidates
+        assert len(log.ticks) <= n // p // 5
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_band_stays_within_its_element_bound_behind_an_early_hit(p):
+    # a power at start 1 holds every later row's limit at 1 while the scan
+    # still looks for one at start 0 up to period n / p; those rows span
+    # 1 + (p - 2)(t + r - 1) starts, so the bound must count the band's own
+    # span, not one row's (a band of 6,664 rows and 44M elements at n = 20000)
+    n = 20000
+    letters = list(fixed_point_prefix(DEKKING, 0, n).letters)
+    letters[1 : 1 + p] = [3] * p  # a period-1 power at start 1 and none at 0
+    wd = word(letters, alphabet=4)
+    log = TickLog()
+    occ = detect._find_vector(wd, 1, p, log)
+    assert occ == find_power(wd, 1, p, engine="python") == detect.Occurrence(1, 1, p, 1)
+    t, cap = 1, n + 1  # the hit is found in the first band and caps the rest
+    for units in log.ticks:
+        r = 1
+        while sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) < units:
+            r += 1
+        assert sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) == units
+        span = min(n + 1 - p * t, cap) + (p - 2) * (t + r - 1)
+        assert r * span <= detect._BAND_ELEMENTS, (t, r, span)
+        t, cap = t + r, 1
+    assert t == n // p + 1
 
 
 # ---------------------------------------------------------------- the scan's keys
