@@ -238,7 +238,7 @@ def _desubstitution(run: _Run, scan_len: int, max_len: int, fault: bool) -> None
         starts = np.arange(scan_len - 2 * half + 1)
         run.tick(starts.size)
         # the abelian squares of this half length, by the scan's exact key test
-        for i in _survivors(keys, starts, half, 2).tolist():
+        for i in starts[_survivors(keys, starts, half, 2)].tolist():
             mid = i + half
             u = prefix[i:mid]
             v = prefix[mid : mid + half]

@@ -13,7 +13,7 @@ engine (orders 1 and 2) vectorizes a band of periods over all their
 starts on the int64 keys of _key_plan (_scan_keys) in two stages, each
 testing adjacent block pairs by second differences: a uint16 fingerprint of
 every field, linear mod 2**16, at every start, then the exact keys on its
-survivors, period by period.
+survivors, a batch of periods per call.
 Equal key differences give equal fingerprint differences, so the screen
 drops no occurrence, and a collision only adds work to the exact stage,
 which decides.  The numpy engine runs on words of
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -50,7 +51,7 @@ _KEY_BITS = 62  # per int64 key, so keys and their differences fit int64
 # odd, about 2**16 / the golden ratio: the fingerprint's multipliers are its odd multiples
 _FINGERPRINT_STEP = 0x9E37
 # most elements (rows x span) in a band of the pair screen, which pays its numpy calls once per band
-_BAND_ELEMENTS = 2**17
+_BAND_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -216,11 +217,27 @@ def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
     return sums[:-1], sums[-1].astype(np.uint16)
 
 
-def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarray:
-    """The starts whose p blocks of length t have equal differences on every
-    key: block ends e with e[j] + e[j+2] == 2 e[j+1], exact mod 2**64."""
-    ends = keys.take(starts + np.arange(0, (p + 1) * t, t)[:, None], axis=1)  # [key, j, start]
-    return starts[(ends[:, :-2] + ends[:, 2:] == ends[:, 1:-1] << 1).all(axis=(0, 1))]
+def _survivors(keys: np.ndarray, starts: np.ndarray, t: int | np.ndarray, p: int) -> np.ndarray:
+    """Which starts have p blocks of length t, one t or one per start, with
+    equal differences on every key: block ends e with e[j] + e[j+2] ==
+    2 e[j+1], exact mod 2**64."""
+    ends = keys.take(starts + np.arange(p + 1)[:, None] * t, axis=1)  # [key, j, start]
+    return (ends[:, :-2] + ends[:, 2:] == ends[:, 1:-1] << 1).all(axis=(0, 1))
+
+
+def _confirm(keys: np.ndarray, batch: list, p: int, best: tuple[int, int]) -> tuple[int, int]:
+    """The least (start, period) among best and the batch's rows, (screen
+    survivors, period) in increasing period, that one _survivors call
+    confirms."""
+    if len(batch) == 1:  # one period, ascending starts: the first confirmed one wins
+        starts, t = batch[0]
+        hit = _survivors(keys, starts, t, p)
+        return min(best, (int(starts[hit.argmax()]), t)) if hit.any() else best
+    starts = np.concatenate([s for s, _ in batch])
+    periods = np.repeat(np.array([t for _, t in batch]), [s.size for s, _ in batch])
+    # start * (n + 1) + period orders the pairs by start, then period
+    codes = (starts * keys.shape[1] + periods)[_survivors(keys, starts, periods, p)]
+    return min(best, divmod(int(codes.min()), keys.shape[1])) if codes.size else best
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
@@ -231,9 +248,11 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     of F for period t+i, and ANDs pair j of row i from the same rows shifted
     j(t+i).  F is linear in the fields mod 2**16, so no occurrence is
     screened out.  A row with no survivor below its own limit is skipped at
-    its first hit (argmax); otherwise _survivors decides on the int64 keys,
-    row by row.  Only strictly smaller starts can improve the winner, so the
-    scanned start range shrinks as hits accumulate.
+    its first hit (argmax); otherwise its survivors wait in a batch that
+    _confirm decides on the int64 keys in one call: when a row brings more
+    than one survivor, at the end of the band after the batch's first, and
+    at the end of the scan.  Only strictly smaller starts can improve the
+    winner, so the scanned start range shrinks as hits are confirmed.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
@@ -241,13 +260,19 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     padded = np.zeros(2 * n + 2, np.uint16)
     padded[: n + 1] = fingerprint
     doubled = padded << 1
+    # a band holds at most _BAND_ELEMENTS, or one row of under n starts, and a short word fewer
+    size = max(n, min(_BAND_ELEMENTS, (n + 1) ** 2))
+    sums, pairs = np.empty(size, np.uint16), np.empty(size, bool)
+    both = np.empty(size if p > 2 else 0, bool)  # pairs ANDed, at p >= 3
     best: tuple[int, int] = (n + 1, 0)
+    batch: list[tuple[np.ndarray, int]] = []
     t = 1
     while (smax := min(n + 1 - p * t, best[0])) > 0:
-        # rows whose limits reach smax, and smax / 4p more, keep padded reads under 1/8 of a band;
+        # the rows whose limits reach smax, then rows whose padded reads, about p r^2 / 2, stay
+        # under 1/8 of r * smax or of _BAND_ELEMENTS, and none past the last period;
         # r rows span smax + (p - 2)(t + r - 1), so r sized twice has r * span <= _BAND_ELEMENTS
-        r = (n + 1 - p * t - smax) // p + smax // (4 * p)
-        r = min(r, _BAND_ELEMENTS // (smax + (p - 2) * t))
+        r = (n + 1 - p * t - smax) // p + max(smax // (4 * p), isqrt(_BAND_ELEMENTS // (4 * p)))
+        r = min(r, n // p + 1 - t, _BAND_ELEMENTS // (smax + (p - 2) * t))
         r = max(1, min(r, _BAND_ELEMENTS // (smax + (p - 2) * (t + r - 1))))
         lims = [min(n + 1 - p * u, smax) for u in range(t, t + r)]
         budget.tick(sum(lims))
@@ -255,19 +280,23 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         # [i, s] reads F[s + 2(t + i)] and 2 F[s + t + i]: offsets and strides in bytes
         hi = np.ndarray((r, span), np.uint16, padded, 4 * t, (4, 2))
         mid = np.ndarray((r, span), np.uint16, doubled, 2 * t, (2, 2))
-        pairs = padded[:span] + hi == mid
-        valid = pairs[:, :smax]
+        band = np.add(padded[:span], hi, out=np.ndarray((r, span), np.uint16, sums))
+        valid = np.equal(band, mid, out=np.ndarray((r, span), bool, pairs))[:, :smax]
         for j in range(1, p - 1):
-            valid = valid & np.ndarray((r, smax), bool, pairs, j * t, (span + j, 1))
+            pair = np.ndarray((r, smax), bool, pairs, j * t, (span + j, 1))
+            valid = np.logical_and(valid, pair, out=np.ndarray((r, smax), bool, both))
         first = valid.argmax(axis=1)  # argmax stops at each row's first survivor
         for i in np.flatnonzero(valid[np.arange(r), first]).tolist():
             lim = min(lims[i], best[0])  # past lims[i] a row reads padding
             if first[i] < lim:
-                hits = _survivors(keys, valid[i, :lim].nonzero()[0], t + i, p)
-                if hits.size:
-                    # lim <= best[0], so any hit improves the winner
-                    best = (int(hits[0]), t + i)
+                batch.append((valid[i, :lim].nonzero()[0], t + i))
+                if batch[-1][0].size > 1:
+                    best, batch = _confirm(keys, batch, p, best), []
+        if batch and batch[0][1] < t:
+            best, batch = _confirm(keys, batch, p, best), []
         t += r
+    if batch:
+        best = _confirm(keys, batch, p, best)
     return None if best[1] == 0 else Occurrence(*best, p, m)
 
 

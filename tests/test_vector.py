@@ -28,13 +28,18 @@ of the g and h fixed points, which are free of 2-binomial squares and
 cubes, so abelian survivors exist and occurrences, if any, sit late.
 
 The screen covers a band of consecutive periods per numpy call, one row
-per period.  Free scans of short words make bands of at most 3 rows, so
-words of 150-600 letters, with powers planted in a band's first and last
-rows, are checked against the python engine; a gate that reads each row's
-start 0 for its first survivor, and a p >= 3 row stride without its
-per-row shift, fail there.  A free scan ticks its budget once per band,
-with its candidates in all, and behind an early hit a band's rows times
-its span stay within detect._BAND_ELEMENTS.
+per period.  Words of 150-600 letters, with powers planted in a band's
+first and last rows, are checked against the python engine; a gate that
+reads each row's start 0 for its first survivor, and a p >= 3 row stride
+without its per-row shift, fail there.  A row's survivors wait in a batch
+that one _survivors call confirms: two powers whose rows wait in one batch
+check that the least (start, period) wins, and a winner taken in batch
+order, or a last batch never confirmed, fails.  No call takes more than
+one row's starts plus one per waiting row, and a short word's buffers stay
+under the square of its length.  A free scan ticks its budget once per
+band, with its candidates in all; behind an early hit a band's rows times
+its span stay within detect._BAND_ELEMENTS, and a hit that waits alone in
+its batch caps the bands from the third on.
 """
 
 import functools
@@ -322,7 +327,8 @@ def test_trusting_the_fingerprint_is_caught(monkeypatch):
     # test_skipping_stage_two_is_caught, they are wrong
     with_fingerprint(monkeypatch, lambda fingerprint: fingerprint << 14)
     test_vector_kernel_matches_oracle()
-    monkeypatch.setattr(detect, "_survivors", lambda keys, starts, t, p: starts)
+    trust = lambda keys, starts, t, p: np.ones(starts.shape, bool)  # noqa: E731
+    monkeypatch.setattr(detect, "_survivors", trust)
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
@@ -449,6 +455,46 @@ def plant(letters, start, period, p, m, rng):
         letters[start + j * period : start + (j + 1) * period] = block
 
 
+class Confirmations:
+    """Within it, every _survivors call of the scan is kept as a list of
+    its (start, period) pairs, one period per start."""
+
+    def __enter__(self):
+        self.calls, self.real = [], detect._survivors
+
+        def survivors(keys, starts, t, p):
+            self.calls.append(list(zip(starts.tolist(), np.broadcast_to(t, starts.shape).tolist())))
+            return self.real(keys, starts, t, p)
+
+        detect._survivors = survivors
+        return self
+
+    def __exit__(self, *exc):
+        detect._survivors = self.real
+
+
+def two_plants(letters, k, m, p, rng, shared):
+    """letters with two powers planted, (s, t2) and (s1, t1) with t1 < t2,
+    whose rows wait in one batch, so one _survivors call confirms both.
+    Not shared: s1 > s, and the winner has the later period and starts
+    before s1.  Shared (m = 1): s1 = s, the later period's blocks are
+    shuffles of the earlier period's whole power, and (s, t1) wins."""
+    for _ in range(200):
+        out = list(letters)
+        t1, s = rng.randint(1, 6), rng.randint(0, 40)
+        t2 = p * t1 if shared else rng.randint(t1 + 1, 12)
+        s1 = s if shared else rng.randint(s + p * t2, len(out) // 2)
+        plant(out, s1, t1, p, m, rng)
+        plant(out, s, t2, p, m, rng)  # shared, it copies the first plant
+        with Confirmations() as log:
+            occ = find_power(out, m, p, alphabet=k, engine="vector")
+        won, other = (occ.start, occ.period), ((s, t2) if shared else (s1, t1))
+        if won == (s, t1) if shared else won[0] < s1 and won[1] > t1:
+            if any(won in c and other in c for c in log.calls):
+                return out
+    raise AssertionError("no two plants waited in one batch")
+
+
 @functools.cache
 def long_cases():
     """(letters, k, m, p, planted, the python engine's answer) for words of
@@ -456,7 +502,8 @@ def long_cases():
     planted in a power-free word (g at order 2, Dekking's word at order 1
     for p >= 3) in the first row, the last row, the last row ending at the
     word's end, and both rows of a band, the last row's power starting
-    earlier; planted is the period of the last plant, or None."""
+    earlier; planted is the period of the last plant, or None.  Then the
+    batched cases."""
     rng = random.Random(21)
     g = fixed_point_prefix(PRESETS["g"].morphism, 0, 600).letters
     dekking = fixed_point_prefix(DEKKING, 0, 600).letters
@@ -487,14 +534,31 @@ def long_cases():
                         plant(letters, end, t, p, m, rng)
                     else:
                         add(letters, k, rows[-1])
+    return cases + batched_cases()
+
+
+@functools.cache
+def batched_cases():
+    """long_cases' words of 300 letters with two plants whose rows wait in
+    one batch (two_plants), for every order and power with a base; planted
+    is the answer's period."""
+    rng = random.Random(22)
+    cases = []
+    for m, p in ((2, 2), (2, 3), (2, 4), (1, 3), (1, 4)):
+        base = fixed_point_prefix(DEKKING if m == 1 else PRESETS["g"].morphism, 0, 300).letters
+        for shared in (False, True)[: 3 - m]:
+            for _ in range(2):
+                letters = two_plants(base, 3, m, p, rng, shared)
+                want = find_power(letters, m, p, alphabet=3, engine="python")
+                cases.append((letters, 3, m, p, want.period, want))
     return cases
 
 
 def test_vector_kernel_matches_python_engine_on_long_words():
-    # a free scan of at most MAX_LEN letters makes bands of at most 3 rows;
-    # on 150-600 letters they hold up to 90, so a power in a band's first or
-    # last row, or two in one band, checks each row's strides, limit and
-    # first survivor
+    # a free scan of 150-600 letters makes one or two bands of up to 181
+    # rows, so a power in a band's first or last row, or two in one band,
+    # checks each row's strides, limit and first survivor, and two powers
+    # confirmed in one batch check its winner
     hits = 0
     for letters, k, m, p, planted, want in long_cases():
         occ = find_power(letters, m, p, alphabet=k, engine="vector")
@@ -521,6 +585,35 @@ def test_row_stride_without_the_shift_is_caught(mutate):
         test_vector_kernel_matches_python_engine_on_long_words()
 
 
+def test_batch_holds_both_plants_and_confirms_the_winner():
+    # the batched cases of the long-word differential: one _survivors call
+    # holds both plants, and the least (start, period) wins, also where the
+    # later period starts earlier or both share a start
+    for letters, k, m, p, _, want in batched_cases():
+        with Confirmations() as log:
+            occ = find_power(letters, m, p, alphabet=k, engine="vector")
+        assert occ == want
+        assert any((occ.start, occ.period) in c and len({t for _, t in c}) > 1 for c in log.calls)
+
+
+def test_unconfirmed_last_batch_is_caught(mutate):
+    # negative control: a scan whose last batch is never confirmed loses
+    # every power that waits in it; short words are scanned in one band
+    long_cases()
+    mutate(detect, "_find_vector", "best = _confirm(keys, batch, p, best)", "pass")
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_python_engine_on_long_words()
+
+
+def test_winner_in_batch_order_is_caught(mutate):
+    # negative control: the first confirmed pair in batch order has the
+    # smallest period, not the least start
+    long_cases()
+    mutate(detect, "_confirm", "codes.min()", "codes[0]")
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_python_engine_on_long_words()
+
+
 def test_free_scan_ticks_its_candidates_once_per_band():
     # the budget counts every (start, period) pair of a free scan, and a
     # band holds 5 periods or more on average: g at n = 20000 screens its
@@ -533,29 +626,108 @@ def test_free_scan_ticks_its_candidates_once_per_band():
         assert len(log.ticks) <= n // p // 5
 
 
+@pytest.mark.parametrize("name, p", [("one letter", 2), ("one letter", 4), ("random", 2), ("g", 2)])
+def test_confirmation_takes_one_row_and_one_start_per_waiting_row(name, p):
+    # a batch holds rows of one survivor each, and a row of more, up to
+    # n + 1 starts, confirms it at once: no _survivors call of a scan takes
+    # more than n + 1 + (rows in the batch) starts, not every survivor of a
+    # band (the one-letter word has n + 1 - p*t at each of its rows)
+    n = 20000
+    if name == "one letter":
+        letters, k = [0] * n, 1
+    elif name == "random":
+        rng = random.Random(8)
+        letters, k = [rng.randrange(8) for _ in range(n)], 8
+    else:
+        letters, k = fixed_point_prefix(PRESETS["g"].morphism, 0, n).letters, 3
+    with Confirmations() as log:
+        occ = detect._find_vector(word(letters, k), 2, p, Budget("scan"))
+    assert (occ is None) == (name == "g") and log.calls
+    for call in log.calls:
+        assert len(call) <= n + 1 + len({t for _, t in call})
+
+
+def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
+    # the band buffers are sized from n: a word of under 100 letters gets
+    # at most (n + 1)^2 elements, not a band of _BAND_ELEMENTS
+    sizes = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype=float):
+            sizes.append(shape)
+            return np.empty(shape, dtype)
+
+    g = fixed_point_prefix(PRESETS["g"].morphism, 0, 99).letters
+    monkeypatch.setattr(detect, "np", Numpy())
+    for n, p in itertools.product((64, 70, 99), (2, 3, 4)):
+        sizes.clear()
+        assert detect._find_vector(word(g[:n], 3), 2, p, Budget("scan")) is None
+        assert sizes and max(sizes) <= (n + 1) ** 2
+
+
+def check_bands_behind_an_early_hit(letters, k, m, p):
+    """Scan letters, whose answer is a period-1 power at start 1, and read
+    each band's rows from its tick: every band stays within
+    _BAND_ELEMENTS, and the hit, found in the first band, waits in a batch
+    until the end of the second at the latest and caps every later band."""
+    n = len(letters)
+    wd = word(letters, alphabet=k)
+    log = TickLog()
+    occ = detect._find_vector(wd, m, p, log)
+    assert occ == find_power(wd, m, p, engine="python") == detect.Occurrence(1, 1, p, m)
+
+    def rows(units, t, cap):
+        r = 1
+        while sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) < units:
+            r += 1
+        return r if sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) == units else None
+
+    t, cap = 1, n + 1
+    for band, units in enumerate(log.ticks, 1):
+        if cap > 1 and rows(units, t, cap) is None:
+            cap = 1
+        assert cap == 1 or band <= 2, band
+        r = rows(units, t, cap)
+        span = min(n + 1 - p * t, cap) + (p - 2) * (t + r - 1)
+        assert r * span <= detect._BAND_ELEMENTS, (t, r, span)
+        t += r
+    assert t == n // p + 1
+
+
 @pytest.mark.parametrize("p", [3, 4])
 def test_band_stays_within_its_element_bound_behind_an_early_hit(p):
     # a power at start 1 holds every later row's limit at 1 while the scan
     # still looks for one at start 0 up to period n / p; those rows span
     # 1 + (p - 2)(t + r - 1) starts, so the bound must count the band's own
     # span, not one row's (a band of 6,664 rows and 44M elements at n = 20000)
-    n = 20000
-    letters = list(fixed_point_prefix(DEKKING, 0, n).letters)
+    letters = list(fixed_point_prefix(DEKKING, 0, 20000).letters)
     letters[1 : 1 + p] = [3] * p  # a period-1 power at start 1 and none at 0
-    wd = word(letters, alphabet=4)
-    log = TickLog()
-    occ = detect._find_vector(wd, 1, p, log)
-    assert occ == find_power(wd, 1, p, engine="python") == detect.Occurrence(1, 1, p, 1)
-    t, cap = 1, n + 1  # the hit is found in the first band and caps the rest
-    for units in log.ticks:
-        r = 1
-        while sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) < units:
-            r += 1
-        assert sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) == units
-        span = min(n + 1 - p * t, cap) + (p - 2) * (t + r - 1)
-        assert r * span <= detect._BAND_ELEMENTS, (t, r, span)
-        t, cap = t + r, 1
-    assert t == n // p + 1
+    check_bands_behind_an_early_hit(letters, 4, 1, p)
+
+
+def waiting_hit():
+    """g's 2-binomial-cube-free prefix of 20000 letters with a cube of one
+    new letter at start 1: its row's only survivor, and no later row brings
+    more than one, so only the end of the second band confirms it."""
+    letters = list(fixed_point_prefix(PRESETS["g"].morphism, 0, 20000).letters)
+    letters[1:4] = [3] * 3
+    return letters
+
+
+def test_a_waiting_hit_caps_the_bands_from_the_third():
+    check_bands_behind_an_early_hit(waiting_hit(), 4, 2, 3)
+
+
+def test_a_hit_waiting_to_the_end_is_caught(mutate):
+    # negative control: a batch confirmed only by a row of several
+    # survivors or by the end of the scan screens all 66,663,333 candidates
+    # of the scan above at the full width, the hit unconfirmed
+    mutate(detect, "_find_vector", "if batch and batch[0][1] < t:", "if False:")
+    with pytest.raises(AssertionError):
+        test_a_waiting_hit_caps_the_bands_from_the_third()
 
 
 # ---------------------------------------------------------------- the scan's keys
