@@ -13,7 +13,7 @@ engine (orders 1 and 2) vectorizes a band of periods over all their
 starts on the int64 keys of _key_plan (_scan_keys) in two stages, each
 testing adjacent block pairs by second differences: a uint16 fingerprint of
 every field, linear mod 2**16, at every start, then the exact keys on its
-survivors, a batch of periods per call.
+survivors: a row's at once when it has several, lone ones in batches.
 Equal key differences give equal fingerprint differences, so the screen
 drops no occurrence, and a collision only adds work to the exact stage,
 which decides.  The numpy engine runs on words of
@@ -218,26 +218,16 @@ def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _survivors(keys: np.ndarray, starts: np.ndarray, t: int | np.ndarray, p: int) -> np.ndarray:
-    """Which starts have p blocks of length t, one t or one per start, with
-    equal differences on every key: block ends e with e[j] + e[j+2] ==
-    2 e[j+1], exact mod 2**64."""
+    """Which starts have p blocks of length t (one, or one per start) with equal differences
+    on every key: block ends e with e[j] + e[j+2] == 2 e[j+1], exact mod 2**64."""
     ends = keys.take(starts + np.arange(p + 1)[:, None] * t, axis=1)  # [key, j, start]
     return (ends[:, :-2] + ends[:, 2:] == ends[:, 1:-1] << 1).all(axis=(0, 1))
 
 
 def _confirm(keys: np.ndarray, batch: list, p: int, best: tuple[int, int]) -> tuple[int, int]:
-    """The least (start, period) among best and the batch's rows, (screen
-    survivors, period) in increasing period, that one _survivors call
-    confirms."""
-    if len(batch) == 1:  # one period, ascending starts: the first confirmed one wins
-        starts, t = batch[0]
-        hit = _survivors(keys, starts, t, p)
-        return min(best, (int(starts[hit.argmax()]), t)) if hit.any() else best
-    starts = np.concatenate([s for s, _ in batch])
-    periods = np.repeat(np.array([t for _, t in batch]), [s.size for s, _ in batch])
-    # start * (n + 1) + period orders the pairs by start, then period
-    codes = (starts * keys.shape[1] + periods)[_survivors(keys, starts, periods, p)]
-    return min(best, divmod(int(codes.min()), keys.shape[1])) if codes.size else best
+    """The least of best and the batch's (start, period) pairs that _survivors confirms."""
+    hits = [pair for pair, hit in zip(batch, _survivors(keys, *np.array(batch).T, p)) if hit]
+    return min(hits + [best])
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
@@ -248,11 +238,12 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     of F for period t+i, and ANDs pair j of row i from the same rows shifted
     j(t+i).  F is linear in the fields mod 2**16, so no occurrence is
     screened out.  A row with no survivor below its own limit is skipped at
-    its first hit (argmax); otherwise its survivors wait in a batch that
-    _confirm decides on the int64 keys in one call: when a row brings more
-    than one survivor, at the end of the band after the batch's first, and
-    at the end of the scan.  Only strictly smaller starts can improve the
-    winner, so the scanned start range shrinks as hits are confirmed.
+    its first hit (argmax).  Several survivors, the mark of a real power, are
+    decided on the int64 keys at once; a lone one, most often a collision,
+    waits in a batch that _confirm decides in one call at the end of the
+    band after its first row's, or of the scan.  Only strictly smaller
+    starts can improve the winner, so the scanned start range shrinks as
+    hits are confirmed.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
@@ -265,15 +256,17 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     sums, pairs = np.empty(size, np.uint16), np.empty(size, bool)
     both = np.empty(size if p > 2 else 0, bool)  # pairs ANDed, at p >= 3
     best: tuple[int, int] = (n + 1, 0)
-    batch: list[tuple[np.ndarray, int]] = []
+    batch: list[tuple[int, int]] = []
     t = 1
     while (smax := min(n + 1 - p * t, best[0])) > 0:
-        # the rows whose limits reach smax, then rows whose padded reads, about p r^2 / 2, stay
-        # under 1/8 of r * smax or of _BAND_ELEMENTS, and none past the last period;
-        # r rows span smax + (p - 2)(t + r - 1), so r sized twice has r * span <= _BAND_ELEMENTS
+        # rows whose limits reach smax, then rows whose padded reads (about p r^2 / 2) stay under
+        # 1/8 of r * smax or of _BAND_ELEMENTS, none past the last period: a word of up to 180
+        # letters is one band.  Longer ones are sized by bound, which grows from 1/8 at t = 1 so
+        # that an early hit screens few rows; r sized twice has r * span <= bound
+        bound = min(_BAND_ELEMENTS, t * _BAND_ELEMENTS // 8)
         r = (n + 1 - p * t - smax) // p + max(smax // (4 * p), isqrt(_BAND_ELEMENTS // (4 * p)))
-        r = min(r, n // p + 1 - t, _BAND_ELEMENTS // (smax + (p - 2) * t))
-        r = max(1, min(r, _BAND_ELEMENTS // (smax + (p - 2) * (t + r - 1))))
+        r = min(r, n // p + 1 - t, bound // (smax + (p - 2) * t))
+        r = max(1, min(r, bound // (smax + (p - 2) * (t + r - 1))))
         lims = [min(n + 1 - p * u, smax) for u in range(t, t + r)]
         budget.tick(sum(lims))
         span = smax + (p - 2) * (t + r - 1)
@@ -289,14 +282,15 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         for i in np.flatnonzero(valid[np.arange(r), first]).tolist():
             lim = min(lims[i], best[0])  # past lims[i] a row reads padding
             if first[i] < lim:
-                batch.append((valid[i, :lim].nonzero()[0], t + i))
-                if batch[-1][0].size > 1:
-                    best, batch = _confirm(keys, batch, p, best), []
+                starts = valid[i, :lim].nonzero()[0]
+                if starts.size == 1:  # most often a fingerprint collision: it waits
+                    batch.append((int(starts[0]), t + i))
+                elif (hits := starts[_survivors(keys, starts, t + i, p)]).size:
+                    best = (int(hits[0]), t + i)  # lim <= best[0], so any hit improves it
         if batch and batch[0][1] < t:
             best, batch = _confirm(keys, batch, p, best), []
         t += r
-    if batch:
-        best = _confirm(keys, batch, p, best)
+    best = _confirm(keys, batch, p, best) if batch else best
     return None if best[1] == 0 else Occurrence(*best, p, m)
 
 

@@ -31,15 +31,15 @@ The screen covers a band of consecutive periods per numpy call, one row
 per period.  Words of 150-600 letters, with powers planted in a band's
 first and last rows, are checked against the python engine; a gate that
 reads each row's start 0 for its first survivor, and a p >= 3 row stride
-without its per-row shift, fail there.  A row's survivors wait in a batch
-that one _survivors call confirms: two powers whose rows wait in one batch
-check that the least (start, period) wins, and a winner taken in batch
-order, or a last batch never confirmed, fails.  No call takes more than
-one row's starts plus one per waiting row, and a short word's buffers stay
-under the square of its length.  A free scan ticks its budget once per
-band, with its candidates in all; behind an early hit a band's rows times
-its span stay within detect._BAND_ELEMENTS, and a hit that waits alone in
-its batch caps the bands from the third on.
+without its per-row shift, fail there.  A row's lone survivor waits in a
+batch that one _survivors call confirms: two powers whose rows wait in one
+batch check that the least (start, period) wins, and a winner taken in
+batch order, or a last batch never confirmed, fails.  No call takes more
+than one row's starts or one start per waiting row, and a short word's
+buffers stay under the square of its length.  A free scan ticks its
+budget once per band, with its candidates in all; behind an early hit a
+band's rows times its span stay within detect._BAND_ELEMENTS, and a hit
+that waits alone in its batch caps the bands from the third on.
 """
 
 import functools
@@ -555,7 +555,7 @@ def batched_cases():
 
 
 def test_vector_kernel_matches_python_engine_on_long_words():
-    # a free scan of 150-600 letters makes one or two bands of up to 181
+    # a free scan of 150-600 letters makes one to three bands of up to 181
     # rows, so a power in a band's first or last row, or two in one band,
     # checks each row's strides, limit and first survivor, and two powers
     # confirmed in one batch check its winner
@@ -598,9 +598,9 @@ def test_batch_holds_both_plants_and_confirms_the_winner():
 
 def test_unconfirmed_last_batch_is_caught(mutate):
     # negative control: a scan whose last batch is never confirmed loses
-    # every power that waits in it; short words are scanned in one band
+    # every power that waits in it, in a word of one band every lone survivor
     long_cases()
-    mutate(detect, "_find_vector", "best = _confirm(keys, batch, p, best)", "pass")
+    mutate(detect, "_find_vector", "_confirm(keys, batch, p, best) if batch", "best if batch")
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_python_engine_on_long_words()
 
@@ -609,7 +609,7 @@ def test_winner_in_batch_order_is_caught(mutate):
     # negative control: the first confirmed pair in batch order has the
     # smallest period, not the least start
     long_cases()
-    mutate(detect, "_confirm", "codes.min()", "codes[0]")
+    mutate(detect, "_confirm", "min(hits + [best])", "(hits + [best])[0]")
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_python_engine_on_long_words()
 
@@ -628,10 +628,11 @@ def test_free_scan_ticks_its_candidates_once_per_band():
 
 @pytest.mark.parametrize("name, p", [("one letter", 2), ("one letter", 4), ("random", 2), ("g", 2)])
 def test_confirmation_takes_one_row_and_one_start_per_waiting_row(name, p):
-    # a batch holds rows of one survivor each, and a row of more, up to
-    # n + 1 starts, confirms it at once: no _survivors call of a scan takes
-    # more than n + 1 + (rows in the batch) starts, not every survivor of a
-    # band (the one-letter word has n + 1 - p*t at each of its rows)
+    # a row of several survivors, up to n + 1 starts, is confirmed on its
+    # own, and a batch holds one start per waiting row: no _survivors call
+    # of a scan takes more than n + 1 + (rows in the batch) starts, not
+    # every survivor of a band (the one-letter word has n + 1 - p*t at each
+    # of its rows)
     n = 20000
     if name == "one letter":
         letters, k = [0] * n, 1
@@ -644,7 +645,9 @@ def test_confirmation_takes_one_row_and_one_start_per_waiting_row(name, p):
         occ = detect._find_vector(word(letters, k), 2, p, Budget("scan"))
     assert (occ is None) == (name == "g") and log.calls
     for call in log.calls:
-        assert len(call) <= n + 1 + len({t for _, t in call})
+        periods = len({t for _, t in call})
+        assert len(call) <= n + 1 + periods
+        assert periods == 1 or len(call) == periods
 
 
 def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
@@ -710,8 +713,8 @@ def test_band_stays_within_its_element_bound_behind_an_early_hit(p):
 
 def waiting_hit():
     """g's 2-binomial-cube-free prefix of 20000 letters with a cube of one
-    new letter at start 1: its row's only survivor, and no later row brings
-    more than one, so only the end of the second band confirms it."""
+    new letter at start 1: its row's only survivor, so it waits in a batch
+    that the end of the second band confirms."""
     letters = list(fixed_point_prefix(PRESETS["g"].morphism, 0, 20000).letters)
     letters[1:4] = [3] * 3
     return letters
@@ -722,9 +725,9 @@ def test_a_waiting_hit_caps_the_bands_from_the_third():
 
 
 def test_a_hit_waiting_to_the_end_is_caught(mutate):
-    # negative control: a batch confirmed only by a row of several
-    # survivors or by the end of the scan screens all 66,663,333 candidates
-    # of the scan above at the full width, the hit unconfirmed
+    # negative control: a batch confirmed only at the end of the scan
+    # screens all 66,663,333 candidates of the scan above at the full
+    # width, the hit unconfirmed
     mutate(detect, "_find_vector", "if batch and batch[0][1] < t:", "if False:")
     with pytest.raises(AssertionError):
         test_a_waiting_hit_caps_the_bands_from_the_third()
