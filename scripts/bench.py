@@ -9,18 +9,20 @@ plus the host (nproc, CPU model) and the Python and numpy versions.
 
 The runs never use this checkout in place.  The working tree's files,
 tracked and untracked but not ignored, are copied into a temporary
-directory, its `src/` is byte-compiled, and every run of the change
-starts there.  With --parent REV, the files of REV are unpacked by `git
-archive` into another temporary directory and byte-compiled the same way,
-and every seed runs once on each side, the order alternating from pair to
-pair so that a drift of the host's speed does not favour one side.  Each
-pair then records, per metric, the ratio change / parent and the winner,
-and each workload the claim rule per metric: whether the change won at
-least 9 of 10 pairs, and whether its median beats the parent's by more
-than the parent's quartile spread; a claimed gain needs both ("holds").
-Both sides thus run from a fresh copy and import from bytecode, so
-`setup_s` compares like with like.  The directories are removed
-afterwards; git's state and this checkout are not touched.
+directory, and every run of the change starts there.  With --parent REV,
+the files of REV are unpacked by `git archive` into another temporary
+directory, and every seed runs once on each side, the order alternating
+from pair to pair so that a drift of the host's speed does not favour one
+side.  Each pair then records, per metric, the ratio change / parent and
+the winner, and each workload the claim rule per metric: whether the
+change won at least 9 of 10 pairs, and whether its median beats the
+parent's by more than the parent's quartile spread; a claimed gain needs
+both ("holds").  Both sides run from source, as a fresh checkout does:
+neither copy holds a `__pycache__`, and every run sets
+PYTHONDONTWRITEBYTECODE=1, so each set-up probe compiles the modules its
+workload loads and `setup_s` reads what a run of perfbench/run.py on a
+fresh checkout reads.  The directories are removed afterwards; git's state
+and this checkout are not touched.
 
     python3 scripts/bench.py --seeds 401 402 403 --out BENCH.json
     python3 scripts/bench.py --parent HEAD~1 --workload search \\
@@ -34,8 +36,8 @@ before any run starts).
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -61,6 +63,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -135,8 +138,7 @@ def claim(entry: dict, better: dict[str, str]) -> dict:
 def checkout(rev: Optional[str]) -> Iterator[Path]:
     """The committed files of rev, or with rev None the working tree's
     tracked and untracked files that git does not ignore, unpacked into a
-    temporary directory with src/ byte-compiled, so that setup_s never
-    includes compiling; the directory is removed on exit."""
+    temporary directory with no bytecode; the directory is removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         path, tar = Path(tmp) / "tree", Path(tmp) / "tree.tar"
         path.mkdir()
@@ -153,8 +155,6 @@ def checkout(rev: Optional[str]) -> Iterator[Path]:
             subprocess.run(["git", "archive", "--output", str(tar), rev],
                            cwd=ROOT, check=True, capture_output=True)
         subprocess.run(["tar", "-xf", str(tar), "-C", str(path)], check=True, capture_output=True)
-        if not compileall.compile_dir(path / "src", quiet=1):
-            raise RuntimeError(f"byte-compiling {path / 'src'} failed")
         yield path
 
 

@@ -3,8 +3,12 @@
 Exact counting of scattered subwords, order-m binomial signatures with
 incremental and factor-query forms, morphic fixed points and their lifted
 integer matrices, detection and avoidance search for m-binomial p-powers,
-and a deterministic verification battery over all of it.
+and a deterministic verification battery over all of it.  Importing it
+loads only errors, words and morphisms, not numpy; detect, search and
+checks (with numpy) load when one of their names is first read.
 """
+
+from importlib import import_module
 
 from .errors import (
     BinwordsError,
@@ -47,29 +51,25 @@ from .morphisms import (
     mirror_morphism,
     parse_morphism,
 )
-from .detect import (
-    Occurrence,
-    ScanReport,
-    find_power,
-    is_power_free,
-    scan_fixed_point,
-    scan_word,
-)
-from .search import (
-    CountTable,
-    SearchCertificate,
-    count_avoiding,
-    longest_avoiding,
-)
-from .checks import (
-    CHECK_NAMES,
-    CheckConfig,
-    CheckReport,
-    aggregate,
-    aggregate_exit_code,
-    run_all,
-    run_check,
-)
+
+# lazily exported name -> its submodule, the first name of each row (PEP 562)
+_LAZY = {name: names.split()[0] for names in (
+    "detect Occurrence ScanReport find_power is_power_free scan_fixed_point scan_word",
+    "search CountTable SearchCertificate count_avoiding longest_avoiding",
+    "checks CHECK_NAMES CheckConfig CheckReport aggregate aggregate_exit_code run_all run_check",
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")  # binds the submodule here too
+    return globals().setdefault(name, module if name == _LAZY[name] else getattr(module, name))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

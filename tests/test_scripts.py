@@ -128,10 +128,10 @@ def test_bench_smoke(tmp_path):
         assert rule["holds"] == (won and rule["gain"] > 0)
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "numpy"}
     assert record["host"]["nproc"] >= 1
-    # the change runs from an unpacked, byte-compiled copy of the working
-    # tree, its files as they are now, not as committed
+    # the change runs from an unpacked copy of the working tree, its files
+    # as they are now, not as committed, and from source
     with load_bench().checkout(None) as path:
-        assert_byte_compiled(path)
+        assert_no_bytecode(path)
         for name in ("src/binwords/search.py", "scripts/bench.py"):
             assert (path / name).read_bytes() == (ROOT / name).read_bytes()
 
@@ -173,15 +173,19 @@ def load_bench():
     return bench
 
 
-def assert_byte_compiled(path: Path) -> None:
-    cache = path / "src" / "binwords" / "__pycache__"
-    compiled = {p.name.split(".")[0] for p in cache.glob("*.pyc")}
-    sources = {p.stem for p in (path / "src" / "binwords").glob("*.py")}
-    assert sources and compiled == sources
+def assert_no_bytecode(path: Path) -> None:
+    assert (path / "src" / "binwords" / "__init__.py").is_file()
+    assert not list(path.rglob("*.pyc"))
 
 
-def test_bench_parent_checkout_is_byte_compiled():
-    # setup_s compares like with like: the unpacked parent imports from
-    # bytecode, as the unpacked working tree does
-    with load_bench().checkout("HEAD") as path:
-        assert_byte_compiled(path)
+def test_bench_parent_checkout_runs_from_source(monkeypatch):
+    # setup_s reads what perfbench reads on a fresh checkout: the unpacked
+    # parent holds no bytecode, and a run there, with every set-up probe
+    # it starts, writes none, whatever the caller's environment says
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    bench = load_bench()
+    with bench.checkout("HEAD") as path:
+        assert_no_bytecode(path)
+        run = bench.run_once(path, "search", 1, 0.1)
+        assert run["correct"] and run["metrics"]["setup_s"] > 0
+        assert_no_bytecode(path)

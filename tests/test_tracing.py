@@ -6,13 +6,16 @@ A refactor that renames or bypasses one of them breaks `--trace 1` without
 failing any other test, so this module loads spans.py by path, unedited,
 and checks that every row resolves, that a traced order-3 search still
 counts its python suffix tests through the class attribute, and that every
-binding is restored afterwards.
+binding is restored afterwards.  The package loads detect, search and
+checks on first use, which this process did long ago; one case runs in a
+fresh interpreter, where patch_table itself loads them.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+from test_imports import fresh
 
 import binwords
 
@@ -71,3 +74,28 @@ def test_traced_count_records_nodes_and_survivors(spans):
     assert metrics["search.nodes"] == table.nodes
     assert metrics["search.survivor_ratio"] == sum(table.counts) / table.nodes
     assert metrics["words.blocks_equivalent.calls"] == 0
+
+
+def test_tracing_a_fresh_import():
+    # after a bare `import binwords`, patch_table's reads of bw.detect,
+    # bw.search and bw.checks load them; the traced scan goes through the
+    # wrapper, and every binding is the original again afterwards
+    fresh(f"""
+        import importlib.util
+        assert "binwords.detect" not in sys.modules
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        spec = importlib.util.spec_from_file_location("perfbench_spans", {str(PERFBENCH / "spans.py")!r})
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rows = spans.patch_table(binwords)
+        assert all(callable(getattr(owner, attr, None)) for owner, attr, *_ in rows)
+        before = [getattr(owner, attr) for owner, attr, *_ in rows]
+        w = binwords.fixed_point_prefix(binwords.PRESETS["h"].morphism, 0, 500)
+        tracer = spans.Tracer()
+        with spans.tracing(binwords, tracer):
+            assert not binwords.detect.scan_word(w, 2, 3).found
+        metrics = spans.pass_metrics(tracer.names, tracer.drain())
+        assert metrics["detect.calls"] == 1 and metrics["detect.candidates"] > 0, metrics
+        after = [getattr(owner, attr) for owner, attr, *_ in spans.patch_table(binwords)]
+        assert all(a is b for a, b in zip(after, before, strict=True))
+    """)
