@@ -43,9 +43,6 @@ from itertools import chain, product
 from math import comb
 from typing import Callable, Optional
 
-import numpy as np
-
-from .detect import _scan_keys, _survivors, find_power
 from .errors import Budget, BudgetExceededError, InvalidInputError
 from .morphisms import (
     Morphism,
@@ -221,6 +218,9 @@ def _desubstitution(run: _Run, scan_len: int, max_len: int, fault: bool) -> None
     either u and v decode directly and the decoded pair occurs again, or the
     mirrors of v and u do.  When the 01/12 imbalances of u and v agree, the
     decoded pair must be abelian equivalent with agreeing imbalances."""
+    import numpy as np
+
+    from .detect import _scan_keys, _survivors
 
     def letter_tallies(w: Word) -> tuple[int, ...]:
         return tuple(w.letters.count(a) for a in range(3))
@@ -397,12 +397,21 @@ def _cube_mod2(run: _Run, n_max: int, fault: bool) -> None:
         _cube_shape_check(run, n, order, first, second, third, 3 * n + 2)
 
 
+def __getattr__(name: str):
+    """PEP 562: find_power is detect's, bound at first use, so checks loads numpy only to scan."""
+    if name != "find_power":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .detect import find_power
+    return globals().setdefault(name, find_power)
+
+
 def _image_cube_free(
     run: _Run, trials: int, max_len: int, exhaustive_len: int, seed: int, fault: bool
 ) -> None:
     """Images of order-2-cube-free binary words under the binary generator
     must stay order-2-cube-free: exhaustively to exhaustive_len, then on
     longer random words."""
+    find_power = __getattr__("find_power")  # the module's binding: a tracer may wrap it
     gen = (
         PRESETS["h"].morphism
         if not fault

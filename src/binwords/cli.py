@@ -4,6 +4,7 @@ Subcommands: binomial, signature, equiv, generate, apply, decode, lift,
 detect, search, count, verify.  All word I/O is ASCII digit strings.
 JSON output is compact and key-order stable, so identical invocations
 produce byte-identical bytes; timing fields are opt-in via --timing.
+Handlers import detect and search only to scan or search: no numpy otherwise.
 
 Exit codes: 0 success or pass; 1 violation found (a power where freeness
 was in question, a failed check, no linear action); 2 usage or input
@@ -28,7 +29,6 @@ from .checks import (
     aggregate_exit_code,
     run_all,
 )
-from .detect import scan_fixed_point, scan_word
 from .errors import (
     BinwordsError,
     BudgetExceededError,
@@ -43,7 +43,6 @@ from .morphisms import (
     lift_matrix,
     parse_morphism,
 )
-from .search import count_avoiding, longest_avoiding
 from .words import equivalent, signature, subword_count
 
 
@@ -137,6 +136,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .detect import scan_fixed_point, scan_word
     budget = _effective_budget(args)
     sources = [s for s in (args.word, args.preset, args.morphism) if s is not None]
     if len(sources) > 1:
@@ -164,6 +164,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import longest_avoiding
     cert = longest_avoiding(
         args.k,
         args.m,
@@ -179,6 +180,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .search import count_avoiding
     table = count_avoiding(
         args.k,
         args.m,

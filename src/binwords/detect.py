@@ -9,15 +9,14 @@ m = 1 case is abelian powers; one code path covers all of them.
 minimal period, scanning candidates in that order.  Two independent
 engines share the semantics.  The python engine asks PrefixIndex block
 tests, which compare letter counts and then factor signatures.  The numpy
-engine (orders 1 and 2) vectorizes a band of periods over all their
-starts on the int64 keys of _key_plan (_scan_keys) in two stages, each
-testing adjacent block pairs by second differences: a uint16 fingerprint of
-every field, linear mod 2**16, at every start, then the exact keys on its
-survivors: a row's at once when it has several, lone ones in batches.
-Equal key differences give equal fingerprint differences, so the screen
-drops no occurrence, and a collision only adds work to the exact stage,
-which decides.  The numpy engine runs on words of
-_VECTOR_MIN_LEN letters and up, where its per-call cost pays off.
+engine (orders 1 and 2, on words of _VECTOR_MIN_LEN letters and up, where
+its per-call cost pays off) screens a band of periods at all their starts
+by second differences of adjacent block pairs on a uint16 fingerprint of
+the int64 keys of _key_plan (_scan_keys), linear mod 2**16, so it drops
+no occurrence.  One flat argmax walk finds the band's rows with a
+survivor, whose starts the exact keys decide: a row's at once when it has
+several, lone ones, most often collisions, in batches.  Each band ticks
+the budget with its candidates, counted in closed form (_band_candidates).
 Results are cross-verified by independent signature recomputation.
 """
 
@@ -230,6 +229,14 @@ def _confirm(keys: np.ndarray, batch: list, p: int, best: tuple[int, int]) -> tu
     return min(hits + [best])
 
 
+def _band_candidates(n: int, p: int, t: int, r: int, smax: int) -> int:
+    """The sum over rows i < r of min(n + 1 - p(t + i), smax), smax <= n + 1 - p*t: the
+    first full rows count smax starts, the other tail rows an arithmetic series."""
+    full = min(r, (n + 1 - p * t - smax) // p + 1)
+    tail = r - full
+    return full * smax + tail * (n + 1 - p * t) - p * (tail * (full + r - 1) // 2)
+
+
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
     """Period-major scan in two stages.  A p-power at s is p - 1 adjacent
     pairs of equivalent blocks, each with second difference 0: the pair
@@ -237,13 +244,13 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     every start of a band of periods t..t+r-1 at once, row i a strided view
     of F for period t+i, and ANDs pair j of row i from the same rows shifted
     j(t+i).  F is linear in the fields mod 2**16, so no occurrence is
-    screened out.  A row with no survivor below its own limit is skipped at
-    its first hit (argmax).  Several survivors, the mark of a real power, are
-    decided on the int64 keys at once; a lone one, most often a collision,
-    waits in a batch that _confirm decides in one call at the end of the
-    band after its first row's, or of the scan.  Only strictly smaller
-    starts can improve the winner, so the scanned start range shrinks as
-    hits are confirmed.
+    screened out.  The band read flat, argmax walks it: from row i it stops
+    at the next survivor, whose row the walk handles and then leaves, and a
+    band with none costs one pass.  Several survivors below the row's limit,
+    the mark of a real power, are decided on the int64 keys at once; a lone
+    one, most often a collision, waits in a batch that _confirm decides in
+    one call at the end of the band after its first row's, or of the scan.
+    Only smaller starts can improve the winner, so the start range shrinks.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
@@ -267,8 +274,7 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         r = (n + 1 - p * t - smax) // p + max(smax // (4 * p), isqrt(_BAND_ELEMENTS // (4 * p)))
         r = min(r, n // p + 1 - t, bound // (smax + (p - 2) * t))
         r = max(1, min(r, bound // (smax + (p - 2) * (t + r - 1))))
-        lims = [min(n + 1 - p * u, smax) for u in range(t, t + r)]
-        budget.tick(sum(lims))
+        budget.tick(_band_candidates(n, p, t, r, smax))
         span = smax + (p - 2) * (t + r - 1)
         # [i, s] reads F[s + 2(t + i)] and 2 F[s + t + i]: offsets and strides in bytes
         hi = np.ndarray((r, span), np.uint16, padded, 4 * t, (4, 2))
@@ -278,15 +284,19 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
         for j in range(1, p - 1):
             pair = np.ndarray((r, smax), bool, pairs, j * t, (span + j, 1))
             valid = np.logical_and(valid, pair, out=np.ndarray((r, smax), bool, both))
-        first = valid.argmax(axis=1)  # argmax stops at each row's first survivor
-        for i in np.flatnonzero(valid[np.arange(r), first]).tolist():
-            lim = min(lims[i], best[0])  # past lims[i] a row reads padding
-            if first[i] < lim:
+        # valid is all of pairs at p = 2 (span = smax) and all of both at p >= 3: a view
+        flat, i = valid.reshape(-1), 0
+        while i < r:  # argmax stops at the first survivor of row i or a later row
+            i, s = divmod(i * smax + int(flat[i * smax :].argmax()), smax)
+            if not valid[i, s]:
+                break
+            if s < (lim := min(n + 1 - p * (t + i), best[0])):  # past lim a row reads padding
                 starts = valid[i, :lim].nonzero()[0]
                 if starts.size == 1:  # most often a fingerprint collision: it waits
-                    batch.append((int(starts[0]), t + i))
+                    batch.append((s, t + i))
                 elif (hits := starts[_survivors(keys, starts, t + i, p)]).size:
                     best = (int(hits[0]), t + i)  # lim <= best[0], so any hit improves it
+            i += 1
         if batch and batch[0][1] < t:
             best, batch = _confirm(keys, batch, p, best), []
         t += r
@@ -296,16 +306,10 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
 
 def _verify_occurrence(wd: Word, occ: Occurrence) -> None:
     # independent recomputation guards both engines
-    sigs = [
-        signature(
-            wd[occ.start + j * occ.period : occ.start + (j + 1) * occ.period], occ.order
-        ).counts
-        for j in range(occ.power)
-    ]
-    if any(s != sigs[0] for s in sigs[1:]):
-        raise BinwordsError(
-            f"internal error: reported occurrence {occ} fails recomputation"
-        )
+    s, t = occ.start, occ.period
+    sigs = {signature(wd[s + j * t : s + (j + 1) * t], occ.order).counts for j in range(occ.power)}
+    if len(sigs) > 1:
+        raise BinwordsError(f"internal error: reported occurrence {occ} fails recomputation")
 
 
 def find_power(
@@ -328,16 +332,10 @@ def find_power(
         if m > 2:
             raise InvalidInputError("the vector engine supports orders 1 and 2 only")
         if n >= _VECTOR_MAX_LEN:
-            raise CountOverflowError(
-                "word too long for the fixed-width vector engine"
-            )
+            raise CountOverflowError("word too long for the fixed-width vector engine")
     if engine == "auto":
         engine = "vector" if (m <= 2 and _VECTOR_MIN_LEN <= n < _VECTOR_MAX_LEN) else "python"
-    budget = Budget("scan", budget_ms)
-    if engine == "vector":
-        occ = _find_vector(wd, m, p, budget)
-    else:
-        occ = _find_python(wd, m, p, budget)
+    occ = (_find_vector if engine == "vector" else _find_python)(wd, m, p, Budget("scan", budget_ms))
     if occ is not None:
         _verify_occurrence(wd, occ)
     return occ
@@ -353,10 +351,7 @@ def is_power_free(
     budget_ms: Optional[int] = None,
 ) -> bool:
     """True iff w contains no m-binomial p-power."""
-    return (
-        find_power(w, m, p, alphabet=alphabet, engine=engine, budget_ms=budget_ms)
-        is None
-    )
+    return find_power(w, m, p, alphabet=alphabet, engine=engine, budget_ms=budget_ms) is None
 
 
 def scan_word(

@@ -1,9 +1,10 @@
 """What `import binwords` loads, each case in a fresh interpreter.
 
 The package imports errors, words and morphisms at once and loads detect,
-search and checks (and numpy with them) the first time one of their names
-is read.  A pytest process has long since imported every module, so each
-case here runs its code in a new interpreter and reads its `sys.modules`.
+search and checks the first time one of their names is read; numpy loads
+with detect, which checks and the CLI import only where they scan.  A
+pytest process has long since imported every module, so each case here
+runs its code in a new interpreter and reads its `sys.modules`.
 """
 
 import json
@@ -55,11 +56,22 @@ def test_search_loads_search_and_battery_loads_checks():
     assert {"binwords.detect", "binwords.search"} <= loaded
     assert "binwords.checks" not in loaded
     loaded = fresh("""
-        cfg = binwords.CheckConfig(erasure_n=100)
-        assert [r.passed for r in binwords.run_all(cfg, names=["erasure"])] == [True]
+        cfg = binwords.CheckConfig(desub_scan_len=100, desub_max_len=8)
+        assert [r.passed for r in binwords.run_all(cfg, names=["desubstitution"])] == [True]
     """)
-    assert {"binwords.detect", "binwords.checks"} <= loaded
+    assert {"numpy", "binwords.detect", "binwords.checks"} <= loaded
     assert "binwords.search" not in loaded
+
+
+def test_word_level_command_loads_neither_numpy_nor_detect_nor_search():
+    # the CLI imports checks for verify's choices, and checks loads detect
+    # (and numpy) only in the checks that scan
+    loaded = fresh("""
+        from binwords import cli
+        assert cli.main(["signature", "01"]) == 0
+    """)
+    assert "binwords.cli" in loaded
+    assert not loaded & {"numpy", "binwords.detect", "binwords.search"}
 
 
 def test_each_lazy_name_is_its_submodules_object():

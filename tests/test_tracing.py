@@ -5,8 +5,9 @@ PrefixIndex.blocks_equivalent, module copies such as search.is_power_free).
 A refactor that renames or bypasses one of them breaks `--trace 1` without
 failing any other test, so this module loads spans.py by path, unedited,
 and checks that every row resolves, that a traced order-3 search still
-counts its python suffix tests through the class attribute, and that every
-binding is restored afterwards.  The package loads detect, search and
+counts its python suffix tests through the class attribute, that the
+battery's scans go through checks.find_power, and that every binding is
+restored afterwards.  The package loads detect, search and
 checks on first use, which this process did long ago; one case runs in a
 fresh interpreter, where patch_table itself loads them.
 """
@@ -74,6 +75,19 @@ def test_traced_count_records_nodes_and_survivors(spans):
     assert metrics["search.nodes"] == table.nodes
     assert metrics["search.survivor_ratio"] == sum(table.counts) / table.nodes
     assert metrics["words.blocks_equivalent.calls"] == 0
+
+
+def test_traced_battery_scans_through_the_checks_binding(spans):
+    # image-cube-free reads checks.find_power, which checks binds on first
+    # use, so the wrapper set in its place sees every scan of the check
+    cfg = binwords.CheckConfig(image_trials=5, image_max_len=12, image_exhaustive_len=4)
+    before = bindings(spans)
+    tracer = spans.Tracer()
+    with spans.tracing(binwords, tracer):
+        (rep,) = binwords.run_all(cfg, names=["image-cube-free"], threads=1)
+    metrics = spans.pass_metrics(tracer.names, tracer.drain())
+    assert rep.passed and metrics["detect.calls"] > rep.instances, metrics
+    assert all(a is b for a, b in zip(bindings(spans), before, strict=True))
 
 
 def test_tracing_a_fresh_import():

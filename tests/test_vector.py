@@ -28,16 +28,20 @@ of the g and h fixed points, which are free of 2-binomial squares and
 cubes, so abelian survivors exist and occurrences, if any, sit late.
 
 The screen covers a band of consecutive periods per numpy call, one row
-per period.  Words of 150-600 letters, with powers planted in a band's
-first and last rows, are checked against the python engine; a gate that
-reads each row's start 0 for its first survivor, and a p >= 3 row stride
-without its per-row shift, fail there.  A row's lone survivor waits in a
+per period, and one flat walk finds the band's rows with a survivor.
+Words of 150-600 letters, with powers planted in a band's first and last
+rows, are checked against the python engine; a walk that reads each row's
+start 0 for its first survivor, or stops after its first row, and a p >= 3
+row stride without its per-row shift, fail there, and the walk's flat view
+shares the band buffer.  A row's lone survivor waits in a
 batch that one _survivors call confirms: two powers whose rows wait in one
 batch check that the least (start, period) wins, and a winner taken in
 batch order, or a last batch never confirmed, fails.  No call takes more
 than one row's starts or one start per waiting row, and a short word's
 buffers stay under the square of its length.  A free scan ticks its
-budget once per band, with its candidates in all; behind an early hit a
+budget once per band, with its candidates in all, each band's count the
+closed form of detect._band_candidates, checked against its rows' limits
+(a tail term off by one fails both); behind an early hit a
 band's rows times its span stay within detect._BAND_ELEMENTS, and a hit
 that waits alone in its batch caps the bands from the third on.
 """
@@ -568,12 +572,47 @@ def test_vector_kernel_matches_python_engine_on_long_words():
 
 
 def test_gate_on_the_first_start_is_caught(mutate):
-    # negative control: a first-hit gate that reads each row's start 0, not
-    # its first survivor, skips every row whose power starts later
+    # negative control: a walk whose gate reads each row's start 0, not the
+    # first survivor its argmax found, stops at the first row whose power
+    # starts later
     long_cases()  # the bands are read from the real kernel
-    mutate(detect, "_find_vector", "valid[np.arange(r), first]", "valid[:, 0]")
+    mutate(detect, "_find_vector", "valid[i, s]", "valid[i, 0]")
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_python_engine_on_long_words()
+
+
+def test_walk_that_stops_after_its_first_row_is_caught(mutate):
+    # negative control: a band's walk that ends after its first survivor
+    # row misses a power in a later row of the band, as in the batched
+    # cases, whose two plants share one
+    long_cases()
+    mutate(detect, "_find_vector", "i += 1", "i = r")
+    with pytest.raises(AssertionError):
+        test_vector_kernel_matches_python_engine_on_long_words()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_survivor_walk_reads_the_band_buffer_in_place(monkeypatch, p):
+    # the walk's flat view of a band's survivors shares the band buffer:
+    # valid is C-contiguous at every p, so reshape makes no copy, which
+    # would give the same answers at the cost of one more pass per band
+    flats = []
+
+    class Band(np.ndarray):
+        def reshape(self, *shape):
+            flats.append((self, super().reshape(*shape)))
+            return flats[-1][1]
+
+    class Numpy:
+        ndarray = Band
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(detect, "np", Numpy())
+    g = fixed_point_prefix(PRESETS["g"].morphism, 0, 2000)
+    assert detect._find_vector(g, 2, p, Budget("scan")) is None
+    assert len(flats) > 1 and all(np.shares_memory(flat, valid) for valid, flat in flats)
 
 
 def test_row_stride_without_the_shift_is_caught(mutate):
@@ -624,6 +663,27 @@ def test_free_scan_ticks_its_candidates_once_per_band():
         assert detect._find_vector(wd, 2, p, log) is None
         assert log.units == sum(log.ticks) == scan_word(wd, 2, p).candidates
         assert len(log.ticks) <= n // p // 5
+
+
+def test_band_candidates_sum_the_row_limits():
+    # the closed form against its definition: row i of a band screens the
+    # starts below min(n + 1 - p(t + i), smax), for every band that fits n
+    for n, p in itertools.product(range(1, 61), (2, 3, 4)):
+        for t in range(1, n // p + 1):
+            for smax in range(1, n + 2 - p * t):
+                want = 0
+                for r in range(1, n // p + 2 - t):
+                    want += min(n + 1 - p * (t + r - 1), smax)
+                    assert detect._band_candidates(n, p, t, r, smax) == want, (n, p, t, r, smax)
+
+
+def test_tail_row_off_by_one_is_caught(mutate):
+    # negative control: a tail term one start too many breaks the closed
+    # form and the free scan's ticks, which no longer sum to its candidates
+    mutate(detect, "_band_candidates", "tail * (n + 1 - p * t)", "tail * (n + 2 - p * t)")
+    for test in (test_band_candidates_sum_the_row_limits, test_free_scan_ticks_its_candidates_once_per_band):
+        with pytest.raises(AssertionError):
+            test()
 
 
 @pytest.mark.parametrize("name, p", [("one letter", 2), ("one letter", 4), ("random", 2), ("g", 2)])
