@@ -13,10 +13,10 @@ engine (orders 1 and 2, on words of _VECTOR_MIN_LEN letters and up, where
 its per-call cost pays off) screens a band of periods at all their starts
 by second differences of adjacent block pairs on a uint16 fingerprint of
 the int64 keys of _key_plan (_scan_keys), linear mod 2**16, so it drops
-no occurrence.  One flat argmax walk finds the band's rows with a
-survivor, whose starts the exact keys decide: a row's at once when it has
-several, lone ones, most often collisions, in batches.  Each band ticks
-the budget with its candidates, counted in closed form (_band_candidates).
+no occurrence.  One flat argmax walk visits the band's survivors in
+row-major order, and the exact keys decide each where the walk finds it
+(_is_power), on Python ints.  Each band ticks the budget with its
+candidates, counted in closed form (_band_candidates).
 Results are cross-verified by independent signature recomputation.
 """
 
@@ -216,17 +216,18 @@ def _scan_keys(wd: Word, m: int) -> tuple[np.ndarray, np.ndarray]:
     return sums[:-1], sums[-1].astype(np.uint16)
 
 
-def _survivors(keys: np.ndarray, starts: np.ndarray, t: int | np.ndarray, p: int) -> np.ndarray:
-    """Which starts have p blocks of length t (one, or one per start) with equal differences
-    on every key: block ends e with e[j] + e[j+2] == 2 e[j+1], exact mod 2**64."""
+def _survivors(keys: np.ndarray, starts: np.ndarray, t: int, p: int) -> np.ndarray:
+    """Which starts have p blocks of length t with equal differences on every key:
+    block ends e with e[j] + e[j+2] == 2 e[j+1], exact mod 2**64."""
     ends = keys.take(starts + np.arange(p + 1)[:, None] * t, axis=1)  # [key, j, start]
     return (ends[:, :-2] + ends[:, 2:] == ends[:, 1:-1] << 1).all(axis=(0, 1))
 
 
-def _confirm(keys: np.ndarray, batch: list, p: int, best: tuple[int, int]) -> tuple[int, int]:
-    """The least of best and the batch's (start, period) pairs that _survivors confirms."""
-    hits = [pair for pair, hit in zip(batch, _survivors(keys, *np.array(batch).T, p)) if hit]
-    return min(hits + [best])
+def _is_power(keys: np.ndarray, s: int, t: int, p: int) -> bool:
+    """_survivors at one start, in Python ints: every key and block difference has |value| <
+    2**62 (tests/test_vector.py), so a second difference is 0 iff it is 0 mod 2**64."""
+    ends = keys[:, s : s + p * t + 1 : t].tolist()
+    return all(e[j] + e[j + 2] == 2 * e[j + 1] for e in ends for j in range(p - 1))
 
 
 def _band_candidates(n: int, p: int, t: int, r: int, smax: int) -> int:
@@ -244,13 +245,12 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     every start of a band of periods t..t+r-1 at once, row i a strided view
     of F for period t+i, and ANDs pair j of row i from the same rows shifted
     j(t+i).  F is linear in the fields mod 2**16, so no occurrence is
-    screened out.  The band read flat, argmax walks it: from row i it stops
-    at the next survivor, whose row the walk handles and then leaves, and a
-    band with none costs one pass.  Several survivors below the row's limit,
-    the mark of a real power, are decided on the int64 keys at once; a lone
-    one, most often a collision, waits in a batch that _confirm decides in
-    one call at the end of the band after its first row's, or of the scan.
-    Only smaller starts can improve the winner, so the start range shrinks.
+    screened out.  The band read flat, argmax walks it in row-major order:
+    from at it stops at the next survivor, and a band with none costs one
+    pass.  A survivor below its row's limit is decided on the int64 keys
+    where it is found: a power becomes the winner and the walk goes on from
+    the next row, a fingerprint collision lets it go on in its row.  Only
+    smaller starts can improve the winner, so the start range shrinks.
     """
     n = len(wd)
     keys, fingerprint = _scan_keys(wd, m)
@@ -263,7 +263,6 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     sums, pairs = np.empty(size, np.uint16), np.empty(size, bool)
     both = np.empty(size if p > 2 else 0, bool)  # pairs ANDed, at p >= 3
     best: tuple[int, int] = (n + 1, 0)
-    batch: list[tuple[int, int]] = []
     t = 1
     while (smax := min(n + 1 - p * t, best[0])) > 0:
         # rows whose limits reach smax, then rows whose padded reads (about p r^2 / 2) stay under
@@ -285,22 +284,18 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
             pair = np.ndarray((r, smax), bool, pairs, j * t, (span + j, 1))
             valid = np.logical_and(valid, pair, out=np.ndarray((r, smax), bool, both))
         # valid is all of pairs at p = 2 (span = smax) and all of both at p >= 3: a view
-        flat, i = valid.reshape(-1), 0
-        while i < r:  # argmax stops at the first survivor of row i or a later row
-            i, s = divmod(i * smax + int(flat[i * smax :].argmax()), smax)
+        flat, at = valid.reshape(-1), 0
+        while at < flat.size:  # argmax stops at the next survivor, in its row or a later one
+            i, s = divmod(at := at + int(flat[at:].argmax()), smax)
             if not valid[i, s]:
                 break
-            if s < (lim := min(n + 1 - p * (t + i), best[0])):  # past lim a row reads padding
-                starts = valid[i, :lim].nonzero()[0]
-                if starts.size == 1:  # most often a fingerprint collision: it waits
-                    batch.append((s, t + i))
-                elif (hits := starts[_survivors(keys, starts, t + i, p)]).size:
-                    best = (int(hits[0]), t + i)  # lim <= best[0], so any hit improves it
-            i += 1
-        if batch and batch[0][1] < t:
-            best, batch = _confirm(keys, batch, p, best), []
+            lim = min(n + 1 - p * (t + i), best[0])  # past it a row reads padding
+            if s < lim and not _is_power(keys, s, t + i, p):
+                at += 1  # a fingerprint collision: the row goes on
+            else:  # a power, which improves best as lim <= best[0], or the row's end
+                best = (s, t + i) if s < lim else best
+                at = (i + 1) * smax
         t += r
-    best = _confirm(keys, batch, p, best) if batch else best
     return None if best[1] == 0 else Occurrence(*best, p, m)
 
 

@@ -35,15 +35,18 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def mutate(monkeypatch):
-    """mutate(module, name, old, new) replaces the function module.name by
-    a copy whose source reads new for old: a negative control's mutant of
-    one line inside a function, undone after the test."""
+    """mutate(module, name, old, new, *more) replaces the function
+    module.name by a copy whose source reads new for old, and for each
+    further (old, new) pair in more likewise: a negative control's mutant of
+    a few lines inside a function, undone after the test."""
 
-    def apply(module, name, old, new):
+    def apply(module, name, old, new, *more):
         source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-        assert source.count(old) == 1, f"{old!r} is not in {name} once"
+        for old, new in ((old, new), *more):
+            assert source.count(old) == 1, f"{old!r} is not in {name} once"
+            source = source.replace(old, new)
         code = compile(
-            source.replace(old, new),
+            source,
             module.__file__,
             "exec",
             flags=__future__.annotations.compiler_flag,

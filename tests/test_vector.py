@@ -28,22 +28,25 @@ of the g and h fixed points, which are free of 2-binomial squares and
 cubes, so abelian survivors exist and occurrences, if any, sit late.
 
 The screen covers a band of consecutive periods per numpy call, one row
-per period, and one flat walk finds the band's rows with a survivor.
-Words of 150-600 letters, with powers planted in a band's first and last
-rows, are checked against the python engine; a walk that reads each row's
-start 0 for its first survivor, or stops after its first row, and a p >= 3
-row stride without its per-row shift, fail there, and the walk's flat view
-shares the band buffer.  A row's lone survivor waits in a
-batch that one _survivors call confirms: two powers whose rows wait in one
-batch check that the least (start, period) wins, and a winner taken in
-batch order, or a last batch never confirmed, fails.  No call takes more
-than one row's starts or one start per waiting row, and a short word's
-buffers stay under the square of its length.  A free scan ticks its
-budget once per band, with its candidates in all, each band's count the
-closed form of detect._band_candidates, checked against its rows' limits
-(a tail term off by one fails both); behind an early hit a
-band's rows times its span stay within detect._BAND_ELEMENTS, and a hit
-that waits alone in its batch caps the bands from the third on.
+per period, and one flat walk visits the band's survivors in row-major
+order.  Words of 150-600 letters, with powers planted in a band's first
+and last rows, are checked against the python engine; a walk that reads
+each row's start 0 for its gate, or stops after its first survivor row,
+and a p >= 3 row stride without its per-row shift, fail there, and the
+walk's flat view shares the band buffer.  Two powers planted in one band
+check that the least (start, period) wins.  The exact keys decide each
+survivor where the walk finds it (detect._is_power, in Python ints, which
+agrees with _survivors' test mod 2**64 at every start and period of the
+words that put D at its bounds): a power behind a fingerprint collision
+in its row checks that the walk goes on past the collision, which a walk
+that leaves the row there fails.  A short word's buffers stay under the
+square of its length.  A free scan ticks its budget once per band, with
+its candidates in all, each band's count the closed form of
+detect._band_candidates, checked against its rows' limits (a tail term
+off by one fails both); behind an early hit a band's rows times its span
+stay within detect._BAND_ELEMENTS, and a hit found in the first band caps
+the bands from the second on, which a walk that sets its winner only when
+the scan ends fails.
 """
 
 import functools
@@ -186,6 +189,27 @@ class TestPackingBound:
     def test_pack_key_fields_round_trip(self, k, n):
         # D at +-(n*n // 4) sits next to letter counts at n in every key
         check_round_trip(k, n)
+
+    @pytest.mark.parametrize("k,n", [(3, 100), (8, 511)])
+    def test_scalar_exact_test_agrees_with_the_int64_one(self, k, n):
+        # detect._is_power tests second differences in Python ints and
+        # _survivors in int64, exact mod 2**64: they agree at every start
+        # and period, p = 2, 3, 4, of the words that put D at +-(n*n // 4);
+        # at k = 8 of the two for the top field of the fullest key (D_03,
+        # bits 43-59), as all 64 words of 141k pairs each take some 40 s
+        fullest = max(detect._key_plan(k, 2, n), key=lambda group: group[-1][2] + group[-1][3])
+        verdicts = set()
+        for runs, _, d_values in extremes(k, n):
+            if k == 8 and fullest[-1][:2] not in d_values:
+                continue
+            keys = detect._scan_keys(word([c for c, r in runs for _ in range(r)], k), 2)[0]
+            for p in (2, 3, 4):
+                for t in range(1, n // p + 1):
+                    starts = np.arange(n + 1 - p * t)
+                    want = detect._survivors(keys, starts, t, p).tolist()
+                    assert [detect._is_power(keys, s, t, p) for s in starts.tolist()] == want
+                    verdicts.update(want)
+        assert verdicts == {False, True}
 
     def test_narrower_d_field_is_caught(self, monkeypatch):
         # mutant: every D field one bit narrower, later offsets moved down
@@ -331,8 +355,7 @@ def test_trusting_the_fingerprint_is_caught(monkeypatch):
     # test_skipping_stage_two_is_caught, they are wrong
     with_fingerprint(monkeypatch, lambda fingerprint: fingerprint << 14)
     test_vector_kernel_matches_oracle()
-    trust = lambda keys, starts, t, p: np.ones(starts.shape, bool)  # noqa: E731
-    monkeypatch.setattr(detect, "_survivors", trust)
+    monkeypatch.setattr(detect, "_is_power", lambda keys, s, t, p: True)
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
@@ -342,11 +365,9 @@ def test_exact_stage_on_the_first_pair_is_caught(monkeypatch):
     # negative control: an exact stage that tests only blocks 0 and 1, so
     # it passes a cube whose first two blocks are equivalent; the all-zero
     # fingerprint leaves the exact stage to decide alone
-    survivors = detect._survivors
+    is_power = detect._is_power
     with_fingerprint(monkeypatch, np.zeros_like)
-    monkeypatch.setattr(
-        detect, "_survivors", lambda keys, starts, t, p: survivors(keys, starts, t, 2)
-    )
+    monkeypatch.setattr(detect, "_is_power", lambda keys, s, t, p: is_power(keys, s, t, 2))
     monkeypatch.setattr(detect, "_verify_occurrence", lambda *args: None)
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_oracle()
@@ -459,30 +480,35 @@ def plant(letters, start, period, p, m, rng):
         letters[start + j * period : start + (j + 1) * period] = block
 
 
-class Confirmations:
-    """Within it, every _survivors call of the scan is kept as a list of
-    its (start, period) pairs, one period per start."""
+class ScanLog:
+    """Within it, the scan's bands are kept as (first, last) periods, and
+    its exact verdicts as ((start, period), power), in the order made."""
 
     def __enter__(self):
-        self.calls, self.real = [], detect._survivors
+        self.bands, self.verdicts = [], []
+        self.real = count, is_power = detect._band_candidates, detect._is_power
 
-        def survivors(keys, starts, t, p):
-            self.calls.append(list(zip(starts.tolist(), np.broadcast_to(t, starts.shape).tolist())))
-            return self.real(keys, starts, t, p)
+        def band_candidates(n, p, t, r, smax):
+            self.bands.append((t, t + r - 1))
+            return count(n, p, t, r, smax)
 
-        detect._survivors = survivors
+        def verdict(keys, s, t, p):
+            self.verdicts.append(((s, t), is_power(keys, s, t, p)))
+            return self.verdicts[-1][1]
+
+        detect._band_candidates, detect._is_power = band_candidates, verdict
         return self
 
     def __exit__(self, *exc):
-        detect._survivors = self.real
+        detect._band_candidates, detect._is_power = self.real
 
 
 def two_plants(letters, k, m, p, rng, shared):
     """letters with two powers planted, (s, t2) and (s1, t1) with t1 < t2,
-    whose rows wait in one batch, so one _survivors call confirms both.
-    Not shared: s1 > s, and the winner has the later period and starts
-    before s1.  Shared (m = 1): s1 = s, the later period's blocks are
-    shuffles of the earlier period's whole power, and (s, t1) wins."""
+    whose rows lie in one band of the scan.  Not shared: s1 > s, the walk
+    confirms (s1, t1), and the winner has a later period of that band and
+    starts before s1.  Shared (m = 1): s1 = s, the later period's blocks
+    are shuffles of the earlier period's whole power, and (s, t1) wins."""
     for _ in range(200):
         out = list(letters)
         t1, s = rng.randint(1, 6), rng.randint(0, 40)
@@ -490,13 +516,15 @@ def two_plants(letters, k, m, p, rng, shared):
         s1 = s if shared else rng.randint(s + p * t2, len(out) // 2)
         plant(out, s1, t1, p, m, rng)
         plant(out, s, t2, p, m, rng)  # shared, it copies the first plant
-        with Confirmations() as log:
+        with ScanLog() as log:
             occ = find_power(out, m, p, alphabet=k, engine="vector")
-        won, other = (occ.start, occ.period), ((s, t2) if shared else (s1, t1))
+        won = (occ.start, occ.period)
         if won == (s, t1) if shared else won[0] < s1 and won[1] > t1:
-            if any(won in c and other in c for c in log.calls):
-                return out
-    raise AssertionError("no two plants waited in one batch")
+            first, last = (t1, t2) if shared else (t1, won[1])
+            if shared or ((s1, t1), True) in log.verdicts:
+                if any(a <= first and last <= b for a, b in log.bands):
+                    return out
+    raise AssertionError("no two plants lay in one band")
 
 
 @functools.cache
@@ -543,8 +571,8 @@ def long_cases():
 
 @functools.cache
 def batched_cases():
-    """long_cases' words of 300 letters with two plants whose rows wait in
-    one batch (two_plants), for every order and power with a base; planted
+    """long_cases' words of 300 letters with two plants whose rows lie in
+    one band (two_plants), for every order and power with a base; planted
     is the answer's period."""
     rng = random.Random(22)
     cases = []
@@ -562,7 +590,7 @@ def test_vector_kernel_matches_python_engine_on_long_words():
     # a free scan of 150-600 letters makes one to three bands of up to 181
     # rows, so a power in a band's first or last row, or two in one band,
     # checks each row's strides, limit and first survivor, and two powers
-    # confirmed in one batch check its winner
+    # in one band check that the walk keeps the least
     hits = 0
     for letters, k, m, p, planted, want in long_cases():
         occ = find_power(letters, m, p, alphabet=k, engine="vector")
@@ -572,9 +600,8 @@ def test_vector_kernel_matches_python_engine_on_long_words():
 
 
 def test_gate_on_the_first_start_is_caught(mutate):
-    # negative control: a walk whose gate reads each row's start 0, not the
-    # first survivor its argmax found, stops at the first row whose power
-    # starts later
+    # negative control: a walk whose gate reads its row's start 0, not the
+    # survivor its argmax found, stops at the first survivor past start 0
     long_cases()  # the bands are read from the real kernel
     mutate(detect, "_find_vector", "valid[i, s]", "valid[i, 0]")
     with pytest.raises(AssertionError):
@@ -586,7 +613,7 @@ def test_walk_that_stops_after_its_first_row_is_caught(mutate):
     # row misses a power in a later row of the band, as in the batched
     # cases, whose two plants share one
     long_cases()
-    mutate(detect, "_find_vector", "i += 1", "i = r")
+    mutate(detect, "_find_vector", "at = (i + 1) * smax", "at = flat.size")
     with pytest.raises(AssertionError):
         test_vector_kernel_matches_python_engine_on_long_words()
 
@@ -624,33 +651,43 @@ def test_row_stride_without_the_shift_is_caught(mutate):
         test_vector_kernel_matches_python_engine_on_long_words()
 
 
-def test_batch_holds_both_plants_and_confirms_the_winner():
-    # the batched cases of the long-word differential: one _survivors call
-    # holds both plants, and the least (start, period) wins, also where the
-    # later period starts earlier or both share a start
-    for letters, k, m, p, _, want in batched_cases():
-        with Confirmations() as log:
-            occ = find_power(letters, m, p, alphabet=k, engine="vector")
-        assert occ == want
-        assert any((occ.start, occ.period) in c and len({t for _, t in c}) > 1 for c in log.calls)
+@functools.cache
+def collision_then_power():
+    """(letters, (s, t), the python engine's answer): g's prefix of 3000
+    letters, free of 2-binomial squares, with a square of period t planted
+    past the last block of a fingerprint collision at (s, t), the first
+    collision after which the plant is the answer."""
+    g = fixed_point_prefix(PRESETS["g"].morphism, 0, 3000).letters
+    with ScanLog() as log:
+        assert find_power(g, 2, 2, alphabet=3, engine="vector") is None
+    for (s, t), power in log.verdicts:
+        if not power and s + 4 * t <= len(g):  # the plant leaves the collision's ends as they are
+            letters = list(g)
+            plant(letters, s + 2 * t, t, 2, 2, None)
+            want = find_power(letters, 2, 2, alphabet=3, engine="python")
+            if want.period == t and want.start > s:
+                return letters, (s, t), want
+    raise AssertionError("no plant behind a collision is the answer")
 
 
-def test_unconfirmed_last_batch_is_caught(mutate):
-    # negative control: a scan whose last batch is never confirmed loses
-    # every power that waits in it, in a word of one band every lone survivor
-    long_cases()
-    mutate(detect, "_find_vector", "_confirm(keys, batch, p, best) if batch", "best if batch")
+def test_walk_goes_on_in_its_row_past_a_collision():
+    # the exact keys turn the collision down and the walk goes on in the
+    # row to the power planted behind it, which wins
+    letters, collision, want = collision_then_power()
+    with ScanLog() as log:
+        occ = find_power(letters, 2, 2, alphabet=3, engine="vector")
+    assert occ == want
+    verdicts = log.verdicts
+    assert verdicts.index((collision, False)) < verdicts.index(((want.start, want.period), True))
+
+
+def test_walk_that_leaves_a_row_at_its_first_collision_is_caught(mutate):
+    # negative control: a walk that takes a collision for its row's end
+    # misses the power behind it
+    collision_then_power()
+    mutate(detect, "_find_vector", "at += 1", "at = (i + 1) * smax")
     with pytest.raises(AssertionError):
-        test_vector_kernel_matches_python_engine_on_long_words()
-
-
-def test_winner_in_batch_order_is_caught(mutate):
-    # negative control: the first confirmed pair in batch order has the
-    # smallest period, not the least start
-    long_cases()
-    mutate(detect, "_confirm", "min(hits + [best])", "(hits + [best])[0]")
-    with pytest.raises(AssertionError):
-        test_vector_kernel_matches_python_engine_on_long_words()
+        test_walk_goes_on_in_its_row_past_a_collision()
 
 
 def test_free_scan_ticks_its_candidates_once_per_band():
@@ -686,30 +723,6 @@ def test_tail_row_off_by_one_is_caught(mutate):
             test()
 
 
-@pytest.mark.parametrize("name, p", [("one letter", 2), ("one letter", 4), ("random", 2), ("g", 2)])
-def test_confirmation_takes_one_row_and_one_start_per_waiting_row(name, p):
-    # a row of several survivors, up to n + 1 starts, is confirmed on its
-    # own, and a batch holds one start per waiting row: no _survivors call
-    # of a scan takes more than n + 1 + (rows in the batch) starts, not
-    # every survivor of a band (the one-letter word has n + 1 - p*t at each
-    # of its rows)
-    n = 20000
-    if name == "one letter":
-        letters, k = [0] * n, 1
-    elif name == "random":
-        rng = random.Random(8)
-        letters, k = [rng.randrange(8) for _ in range(n)], 8
-    else:
-        letters, k = fixed_point_prefix(PRESETS["g"].morphism, 0, n).letters, 3
-    with Confirmations() as log:
-        occ = detect._find_vector(word(letters, k), 2, p, Budget("scan"))
-    assert (occ is None) == (name == "g") and log.calls
-    for call in log.calls:
-        periods = len({t for _, t in call})
-        assert len(call) <= n + 1 + periods
-        assert periods == 1 or len(call) == periods
-
-
 def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
     # the band buffers are sized from n: a word of under 100 letters gets
     # at most (n + 1)^2 elements, not a band of _BAND_ELEMENTS
@@ -734,8 +747,8 @@ def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
 def check_bands_behind_an_early_hit(letters, k, m, p):
     """Scan letters, whose answer is a period-1 power at start 1, and read
     each band's rows from its tick: every band stays within
-    _BAND_ELEMENTS, and the hit, found in the first band, waits in a batch
-    until the end of the second at the latest and caps every later band."""
+    _BAND_ELEMENTS, and the hit, found in the first band, caps every later
+    band."""
     n = len(letters)
     wd = word(letters, alphabet=k)
     log = TickLog()
@@ -752,7 +765,7 @@ def check_bands_behind_an_early_hit(letters, k, m, p):
     for band, units in enumerate(log.ticks, 1):
         if cap > 1 and rows(units, t, cap) is None:
             cap = 1
-        assert cap == 1 or band <= 2, band
+        assert cap == 1 or band == 1, band
         r = rows(units, t, cap)
         span = min(n + 1 - p * t, cap) + (p - 2) * (t + r - 1)
         assert r * span <= detect._BAND_ELEMENTS, (t, r, span)
@@ -771,26 +784,32 @@ def test_band_stays_within_its_element_bound_behind_an_early_hit(p):
     check_bands_behind_an_early_hit(letters, 4, 1, p)
 
 
-def waiting_hit():
+def lone_hit():
     """g's 2-binomial-cube-free prefix of 20000 letters with a cube of one
-    new letter at start 1: its row's only survivor, so it waits in a batch
-    that the end of the second band confirms."""
+    new letter at start 1: its row's only survivor."""
     letters = list(fixed_point_prefix(PRESETS["g"].morphism, 0, 20000).letters)
     letters[1:4] = [3] * 3
     return letters
 
 
-def test_a_waiting_hit_caps_the_bands_from_the_third():
-    check_bands_behind_an_early_hit(waiting_hit(), 4, 2, 3)
+def test_a_lone_hit_caps_the_bands_from_the_second():
+    check_bands_behind_an_early_hit(lone_hit(), 4, 2, 3)
 
 
 def test_a_hit_waiting_to_the_end_is_caught(mutate):
-    # negative control: a batch confirmed only at the end of the scan
-    # screens all 66,663,333 candidates of the scan above at the full
-    # width, the hit unconfirmed
-    mutate(detect, "_find_vector", "if batch and batch[0][1] < t:", "if False:")
+    # negative control: a walk that keeps its hits apart and sets best
+    # from them only when the scan ends screens all 66,663,333 candidates
+    # of the scan above at the full width
+    mutate(
+        detect,
+        "_find_vector",
+        "best = (s, t + i) if s < lim else best",
+        "late = min(late, (s, t + i)) if s < lim else late",
+        ("best: tuple[int, int] = (n + 1, 0)", "best: tuple[int, int] = (n + 1, 0)\n    late = best"),
+        ("    return None", "    best = late\n    return None"),
+    )
     with pytest.raises(AssertionError):
-        test_a_waiting_hit_caps_the_bands_from_the_third()
+        test_a_lone_hit_caps_the_bands_from_the_second()
 
 
 # ---------------------------------------------------------------- the scan's keys
