@@ -16,7 +16,6 @@ from .errors import (
     CountOverflowError,
     InvalidInputError,
     MorphismParseError,
-    NoLinearActionError,
     NotPrefixCodeError,
     NotProlongableError,
     UnsupportedOrderError,
@@ -89,7 +88,6 @@ __all__ = [
     "MAX_ORDER",
     "Morphism",
     "MorphismParseError",
-    "NoLinearActionError",
     "NotPrefixCodeError",
     "NotProlongableError",
     "Occurrence",

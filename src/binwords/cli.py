@@ -7,9 +7,9 @@ produce byte-identical bytes; timing fields are opt-in via --timing.
 Handlers import detect and search only to scan or search: no numpy otherwise.
 
 Exit codes: 0 success or pass; 1 violation found (a power where freeness
-was in question, a failed check, no linear action); 2 usage or input
-error; 3 budget exhausted.  BINWORDS_BUDGET_MS applies a wall-clock cap
-to any single run unless --budget-ms overrides it.
+was in question, or a failed check); 2 usage or input error; 3 budget
+exhausted.  BINWORDS_BUDGET_MS applies a wall-clock cap to any single run
+unless --budget-ms overrides it.
 """
 
 from __future__ import annotations

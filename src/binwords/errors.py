@@ -30,10 +30,6 @@ class NotPrefixCodeError(InvalidInputError):
     """Decoding requires the image set to be a prefix code."""
 
 
-class NoLinearActionError(BinwordsError):
-    """No exact integer matrix reproduces the morphism's action on signatures."""
-
-
 class CountOverflowError(BinwordsError, OverflowError):
     """Input is large enough that the fixed-width fast path could overflow."""
 

@@ -77,6 +77,46 @@ def fraction_determinant(rows: Sequence[Sequence[int]]) -> Fraction:
     return det
 
 
+def _splits(x: tuple[int, ...], r: int, least: int):
+    """Every way to cut x into r consecutive pieces of at least `least` letters."""
+    if r == 1:
+        if len(x) >= least:
+            yield (x,)
+        return
+    for cut in range(least, len(x) + 1):
+        for rest in _splits(x[cut:], r - 1, least):
+            yield (x[:cut],) + rest
+
+
+def closed_form_lift(
+    images: Sequence[Sequence[int]], m: int, empty_pieces: bool = False
+) -> list[list[int]]:
+    """A morphism's lifted order-m matrix from the factorization identity.
+
+    Entry (x, z) with z = a_1...a_r is the sum, over cuts of x into r
+    nonempty pieces y_1...y_r, of prod binom(images[a_i], y_i): each
+    occurrence of x in f(u) splits x among the images of the letters of u
+    it touches.  empty_pieces=True admits empty pieces too, which is wrong
+    at every m >= 2 and serves as a negative control.
+    """
+    k = len(images)
+    patterns = [x for n in range(1, m + 1) for x in product(range(k), repeat=n)]
+    least = 0 if empty_pieces else 1
+    rows = []
+    for x in patterns:
+        row = []
+        for z in patterns:
+            total = 0
+            for ys in _splits(x, len(z), least):
+                term = 1
+                for a, y in zip(z, ys):
+                    term *= naive_subword_count(images[a], y)
+                total += term
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
 def all_words(k: int, n: int):
     """Every word over {0..k-1} of length exactly n, as tuples."""
     return product(range(k), repeat=n)

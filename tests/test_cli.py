@@ -4,7 +4,10 @@ import re
 
 import pytest
 
+from binwords import PRESETS
 from binwords.cli import main
+
+from oracles import closed_form_lift
 
 X_PREFIX_24 = "012021012102012021020121"
 Z_PREFIX_27 = "001001011001001011001011011"
@@ -112,6 +115,18 @@ class TestMorphismCommands:
     def test_lift_order_one(self, capsys):
         code, out, _ = run(capsys, "lift", "g", "-m", "1")
         assert json.loads(out) == [[1, 1, 0], [1, 0, 1], [1, 1, 0]]
+
+    @pytest.mark.parametrize("name,m", [("g", 4), ("h", 3)])
+    def test_lift_above_order_two(self, capsys, name, m):
+        code, out, _ = run(capsys, "lift", name, "-m", str(m))
+        assert code == 0
+        assert json.loads(out) == closed_form_lift(PRESETS[name].morphism.images, m)
+
+    def test_lift_erasing_morphism_exit_two(self, capsys):
+        code, out, err = run(capsys, "lift", "e", "-m", "2")
+        assert code == 2
+        assert out == ""
+        assert "erasing" in err
 
 
 class TestDetect:

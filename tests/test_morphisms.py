@@ -26,7 +26,7 @@ from binwords import (
     word,
 )
 
-from oracles import fraction_determinant, words_up_to
+from oracles import closed_form_lift, fraction_determinant, words_up_to
 
 # displayed prefixes of the three fixed points, frozen
 X_PREFIX_24 = "012021012102012021020121"
@@ -46,6 +46,11 @@ M_H_ROWS = [
 
 binary_letters = st.lists(st.integers(0, 1), max_size=25)
 ternary_letters = st.lists(st.integers(0, 2), max_size=25)
+
+# every order up to the cap for the generators, up to 3 for their squares
+LIFT_CASES = [(name, m) for name in ("g", "h") for m in range(1, 5)] + [
+    (name, m) for name in ("g2", "gtilde2") for m in range(1, 4)
+]
 
 
 def g() -> Morphism:
@@ -345,19 +350,25 @@ class TestLiftMatrix:
         assert (mg @ mg).rows == mg2.rows
         assert (mg @ mg).image_lengths == mg2.image_lengths
 
-    def test_higher_order_lift_validates(self):
-        lifted = lift_matrix(h(), 3, validate_trials=500)
-        u = word("0110", 2)
-        assert lifted.apply(signature(u, 3)).counts == signature(h()(u), 3).counts
-        lifted4 = lift_matrix(h(), 4, validate_trials=100)
-        assert len(lifted4.rows) == 30
+    @pytest.mark.parametrize("name,m", LIFT_CASES)
+    def test_solve_matches_closed_form(self, name, m):
+        f = PRESETS[name].morphism
+        assert lift_matrix(f, m).to_lists() == closed_form_lift(f.images, m)
 
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
-    def test_validate_trials_must_be_a_positive_int(self, m, trials):
-        # below 1 trial the spot check the docstring promises would not run
-        with pytest.raises(InvalidInputError, match="validate_trials"):
-            lift_matrix(h(), m, validate_trials=trials)
+    @pytest.mark.parametrize("name,m", LIFT_CASES)
+    def test_closed_form_with_empty_pieces_is_caught(self, name, m):
+        # at m = 1 every column pattern is one letter, so nothing is cut
+        f = PRESETS[name].morphism
+        wrong = closed_form_lift(f.images, m, empty_pieces=True)
+        assert (wrong == lift_matrix(f, m).to_lists()) == (m == 1)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_action_is_exact_above_order_two(self, m):
+        for f, k, n in ((h(), 2, 7), (g(), 3, 5)):
+            lifted = lift_matrix(f, m)
+            for tup in words_up_to(k, n):
+                u = Word(tup, Alphabet(k))
+                assert lifted.apply(signature(u, m)) == signature(f(u), m)
 
     def test_erasing_morphism_rejected(self):
         with pytest.raises(InvalidInputError):

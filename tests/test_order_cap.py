@@ -30,7 +30,7 @@ ENTRY_POINTS = {
     "scan_fixed_point": lambda m: scan_fixed_point(H, 0, 9, m, 3),
     "longest_avoiding": lambda m: longest_avoiding(2, m, 2, 4),
     "count_avoiding": lambda m: count_avoiding(2, m, 2, 4),
-    "lift_matrix": lambda m: lift_matrix(H, m, validate_trials=5),
+    "lift_matrix": lambda m: lift_matrix(H, m),
 }
 
 
