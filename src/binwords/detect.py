@@ -15,8 +15,8 @@ by second differences of adjacent block pairs on a uint16 fingerprint of
 the int64 keys of _key_plan (_scan_keys), linear mod 2**16, so it drops
 no occurrence.  One flat argmax walk visits the band's survivors in
 row-major order, and the exact keys decide each where the walk finds it
-(_is_power), on Python ints.  Each band ticks the budget with its
-candidates, counted in closed form (_band_candidates).
+(_is_power), on Python ints.  One rule sizes each band (_band_rows), and
+each band ticks the budget with the elements it screens.
 Results are cross-verified by independent signature recomputation.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -230,12 +229,15 @@ def _is_power(keys: np.ndarray, s: int, t: int, p: int) -> bool:
     return all(e[j] + e[j + 2] == 2 * e[j + 1] for e in ends for j in range(p - 1))
 
 
-def _band_candidates(n: int, p: int, t: int, r: int, smax: int) -> int:
-    """The sum over rows i < r of min(n + 1 - p(t + i), smax), smax <= n + 1 - p*t: the
-    first full rows count smax starts, the other tail rows an arithmetic series."""
-    full = min(r, (n + 1 - p * t - smax) // p + 1)
-    tail = r - full
-    return full * smax + tail * (n + 1 - p * t) - p * (tail * (full + r - 1) // 2)
+def _band_rows(n: int, p: int, t: int, smax: int) -> int:
+    """Rows of the band from period t, none past the last period n // p: at
+    least one, and as many as keep rows x span within bound, which grows
+    from 1/8 of _BAND_ELEMENTS at t = 1 to all of it from t = 8, so that an
+    early hit screens few rows.  At p >= 3 the span counts every row's
+    shift, so r is sized on the first row's span, then on its own."""
+    bound = min(_BAND_ELEMENTS, t * _BAND_ELEMENTS // 8)
+    r = min(n // p + 1 - t, bound // (smax + (p - 2) * t))
+    return max(1, min(r, bound // (smax + (p - 2) * (t + r - 1))))
 
 
 def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrence]:
@@ -265,15 +267,8 @@ def _find_vector(wd: Word, m: int, p: int, budget: Budget) -> Optional[Occurrenc
     best: tuple[int, int] = (n + 1, 0)
     t = 1
     while (smax := min(n + 1 - p * t, best[0])) > 0:
-        # rows whose limits reach smax, then rows whose padded reads (about p r^2 / 2) stay under
-        # 1/8 of r * smax or of _BAND_ELEMENTS, none past the last period: a word of up to 180
-        # letters is one band.  Longer ones are sized by bound, which grows from 1/8 at t = 1 so
-        # that an early hit screens few rows; r sized twice has r * span <= bound
-        bound = min(_BAND_ELEMENTS, t * _BAND_ELEMENTS // 8)
-        r = (n + 1 - p * t - smax) // p + max(smax // (4 * p), isqrt(_BAND_ELEMENTS // (4 * p)))
-        r = min(r, n // p + 1 - t, bound // (smax + (p - 2) * t))
-        r = max(1, min(r, bound // (smax + (p - 2) * (t + r - 1))))
-        budget.tick(_band_candidates(n, p, t, r, smax))
+        r = _band_rows(n, p, t, smax)
+        budget.tick(r * smax)  # the scan's budget caps time alone: units pace its clock reads
         span = smax + (p - 2) * (t + r - 1)
         # [i, s] reads F[s + 2(t + i)] and 2 F[s + t + i]: offsets and strides in bytes
         hi = np.ndarray((r, span), np.uint16, padded, 4 * t, (4, 2))

@@ -437,7 +437,7 @@ def count_avoiding(
     """
     opts = dict(symmetry=symmetry, node_budget=node_budget, budget_ms=budget_ms, progress=progress)
     _check_order(m)
-    _check_int(n_max, "search depth cap", 1)
+    _check_int(n_max, "n_max", 1)
     # at orders 1, 2 the int64 keys hold shorter words only
     if n_max >= _VECTOR_MAX_LEN:
         raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN}")

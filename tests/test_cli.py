@@ -298,6 +298,11 @@ class TestSearchAndCount:
         assert (code, out) == (2, "")
         assert err == "binwords: n_max must be below 2147483648\n"
 
+    def test_count_zero_n_max_exit_two(self, capsys):
+        code, out, err = run(capsys, "count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "0")
+        assert (code, out) == (2, "")
+        assert err == "binwords: n_max must be >= 1, got 0\n"
+
     def test_count_symmetry(self, capsys):
         code, out, _ = run(
             capsys,

@@ -40,13 +40,15 @@ agrees with _survivors' test mod 2**64 at every start and period of the
 words that put D at its bounds): a power behind a fingerprint collision
 in its row checks that the walk goes on past the collision, which a walk
 that leaves the row there fails.  A short word's buffers stay under the
-square of its length.  A free scan ticks its budget once per band, with
-its candidates in all, each band's count the closed form of
-detect._band_candidates, checked against its rows' limits (a tail term
-off by one fails both); behind an early hit a band's rows times its span
-stay within detect._BAND_ELEMENTS, and a hit found in the first band caps
-the bands from the second on, which a walk that sets its winner only when
-the scan ends fails.
+square of its length.  Each band's rows come from detect._band_rows,
+checked on its own for every band that fits a short word (a word of up to
+257 letters is one band), and the scan's bands are read from it; a free
+scan ticks its budget once per band, with the rows times the starts it
+screens, at least its candidates in all.  Behind an early hit a band's
+rows times its span stay within detect._BAND_ELEMENTS, which a band sized
+on its first row's span alone breaks, and a hit found in the first band
+caps the bands from the second on, which a walk that sets its winner only
+when the scan ends fails.
 """
 
 import functools
@@ -451,20 +453,11 @@ class TickLog(Budget):
 
 def bands(n, p):
     """(first, last) period of every band of a free vector scan of n letters,
-    read from the ticks of a scan of the g prefix at order 2, which has no
-    2-binomial square: a free band ticks n + 1 - p*u starts per period u."""
-    log = TickLog()
-    assert detect._find_vector(fixed_point_prefix(PRESETS["g"].morphism, 0, n), 2, p, log) is None
-    out, t = [], 1
-    for units in log.ticks:
-        r = 1
-        while sum(n + 1 - p * u for u in range(t, t + r)) < units:
-            r += 1
-        assert sum(n + 1 - p * u for u in range(t, t + r)) == units
-        out.append((t, t + r - 1))
-        t += r
-    assert t == n // p + 1
-    return out
+    read from ScanLog on a scan of the g prefix at order 2, which has no
+    2-binomial square."""
+    with ScanLog() as log:
+        assert find_power(fixed_point_prefix(PRESETS["g"].morphism, 0, n), 2, p, engine="vector") is None
+    return [(t, t + r - 1) for t, r, _ in log.bands]
 
 
 # its fixed point has no abelian cube (Dekking 1979), so an abelian power planted in it is the answer
@@ -481,26 +474,27 @@ def plant(letters, start, period, p, m, rng):
 
 
 class ScanLog:
-    """Within it, the scan's bands are kept as (first, last) periods, and
-    its exact verdicts as ((start, period), power), in the order made."""
+    """Within it, the scan's bands are kept as (first period, rows, starts
+    of the first row), and its exact verdicts as ((start, period), power),
+    in the order made."""
 
     def __enter__(self):
         self.bands, self.verdicts = [], []
-        self.real = count, is_power = detect._band_candidates, detect._is_power
+        self.real = band_rows, is_power = detect._band_rows, detect._is_power
 
-        def band_candidates(n, p, t, r, smax):
-            self.bands.append((t, t + r - 1))
-            return count(n, p, t, r, smax)
+        def rows(n, p, t, smax):
+            self.bands.append((t, band_rows(n, p, t, smax), smax))
+            return self.bands[-1][1]
 
         def verdict(keys, s, t, p):
             self.verdicts.append(((s, t), is_power(keys, s, t, p)))
             return self.verdicts[-1][1]
 
-        detect._band_candidates, detect._is_power = band_candidates, verdict
+        detect._band_rows, detect._is_power = rows, verdict
         return self
 
     def __exit__(self, *exc):
-        detect._band_candidates, detect._is_power = self.real
+        detect._band_rows, detect._is_power = self.real
 
 
 def two_plants(letters, k, m, p, rng, shared):
@@ -522,7 +516,7 @@ def two_plants(letters, k, m, p, rng, shared):
         if won == (s, t1) if shared else won[0] < s1 and won[1] > t1:
             first, last = (t1, t2) if shared else (t1, won[1])
             if shared or ((s1, t1), True) in log.verdicts:
-                if any(a <= first and last <= b for a, b in log.bands):
+                if any(a <= first and last < a + r for a, r, _ in log.bands):
                     return out
     raise AssertionError("no two plants lay in one band")
 
@@ -587,7 +581,7 @@ def batched_cases():
 
 
 def test_vector_kernel_matches_python_engine_on_long_words():
-    # a free scan of 150-600 letters makes one to three bands of up to 181
+    # a free scan of 150-600 letters makes one or two bands of up to 246
     # rows, so a power in a band's first or last row, or two in one band,
     # checks each row's strides, limit and first survivor, and two powers
     # in one band check that the walk keeps the least
@@ -691,36 +685,39 @@ def test_walk_that_leaves_a_row_at_its_first_collision_is_caught(mutate):
 
 
 def test_free_scan_ticks_its_candidates_once_per_band():
-    # the budget counts every (start, period) pair of a free scan, and a
-    # band holds 5 periods or more on average: g at n = 20000 screens its
-    # 10,000 periods in at most 2,000 bands, not one band per period
+    # one tick per band, of its rows times the starts of its first row,
+    # which cover the band's candidates, and a band holds 5 periods or
+    # more on average: g at n = 20000 screens its 10,000 periods in at most
+    # 2,000 bands, not one band per period
     for name, n, p in (("g", 20000, 2), ("h", 6000, 3)):
         wd = fixed_point_prefix(PRESETS[name].morphism, 0, n)
         log = TickLog()
-        assert detect._find_vector(wd, 2, p, log) is None
-        assert log.units == sum(log.ticks) == scan_word(wd, 2, p).candidates
+        with ScanLog() as scan:
+            assert detect._find_vector(wd, 2, p, log) is None
+        assert log.ticks == [r * smax for _, r, smax in scan.bands]
+        assert log.units == sum(log.ticks) >= scan_word(wd, 2, p).candidates
         assert len(log.ticks) <= n // p // 5
 
 
-def test_band_candidates_sum_the_row_limits():
-    # the closed form against its definition: row i of a band screens the
-    # starts below min(n + 1 - p(t + i), smax), for every band that fits n
+def test_band_rows_fit_the_word_and_the_bound():
+    # every band that fits a word of up to 60 letters has 1 to n // p + 1 - t
+    # rows, and one row, or rows times span within the bound
     for n, p in itertools.product(range(1, 61), (2, 3, 4)):
         for t in range(1, n // p + 1):
+            bound = min(detect._BAND_ELEMENTS, t * detect._BAND_ELEMENTS // 8)
             for smax in range(1, n + 2 - p * t):
-                want = 0
-                for r in range(1, n // p + 2 - t):
-                    want += min(n + 1 - p * (t + r - 1), smax)
-                    assert detect._band_candidates(n, p, t, r, smax) == want, (n, p, t, r, smax)
+                r = detect._band_rows(n, p, t, smax)
+                assert 1 <= r <= n // p + 1 - t, (n, p, t, smax)
+                assert r == 1 or r * (smax + (p - 2) * (t + r - 1)) <= bound, (n, p, t, smax)
 
 
-def test_tail_row_off_by_one_is_caught(mutate):
-    # negative control: a tail term one start too many breaks the closed
-    # form and the free scan's ticks, which no longer sum to its candidates
-    mutate(detect, "_band_candidates", "tail * (n + 1 - p * t)", "tail * (n + 2 - p * t)")
-    for test in (test_band_candidates_sum_the_row_limits, test_free_scan_ticks_its_candidates_once_per_band):
-        with pytest.raises(AssertionError):
-            test()
+def test_free_scans_of_up_to_257_letters_make_one_band():
+    g = fixed_point_prefix(PRESETS["g"].morphism, 0, 257).letters
+    for p in (2, 3, 4):
+        for n in range(p, 258):
+            with ScanLog() as log:
+                assert detect._find_vector(word(g[:n], 3), 2, p, Budget("scan")) is None
+            assert [(t, r) for t, r, _ in log.bands] == [(1, n // p)], (n, p)
 
 
 def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
@@ -746,28 +743,17 @@ def test_short_scans_allocate_under_the_square_of_their_length(monkeypatch):
 
 def check_bands_behind_an_early_hit(letters, k, m, p):
     """Scan letters, whose answer is a period-1 power at start 1, and read
-    each band's rows from its tick: every band stays within
-    _BAND_ELEMENTS, and the hit, found in the first band, caps every later
-    band."""
+    each band from ScanLog: every band stays within _BAND_ELEMENTS, and
+    the hit, found in the first band, caps every later band."""
     n = len(letters)
     wd = word(letters, alphabet=k)
-    log = TickLog()
-    occ = detect._find_vector(wd, m, p, log)
+    with ScanLog() as log:
+        occ = detect._find_vector(wd, m, p, Budget("scan"))
     assert occ == find_power(wd, m, p, engine="python") == detect.Occurrence(1, 1, p, m)
-
-    def rows(units, t, cap):
-        r = 1
-        while sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) < units:
-            r += 1
-        return r if sum(min(n + 1 - p * u, cap) for u in range(t, t + r)) == units else None
-
-    t, cap = 1, n + 1
-    for band, units in enumerate(log.ticks, 1):
-        if cap > 1 and rows(units, t, cap) is None:
-            cap = 1
-        assert cap == 1 or band == 1, band
-        r = rows(units, t, cap)
-        span = min(n + 1 - p * t, cap) + (p - 2) * (t + r - 1)
+    t = 1
+    for band, (first, r, smax) in enumerate(log.bands, 1):
+        assert first == t and (smax == 1 or band == 1), band
+        span = smax + (p - 2) * (t + r - 1)
         assert r * span <= detect._BAND_ELEMENTS, (t, r, span)
         t += r
     assert t == n // p + 1
@@ -778,10 +764,26 @@ def test_band_stays_within_its_element_bound_behind_an_early_hit(p):
     # a power at start 1 holds every later row's limit at 1 while the scan
     # still looks for one at start 0 up to period n / p; those rows span
     # 1 + (p - 2)(t + r - 1) starts, so the bound must count the band's own
-    # span, not one row's (a band of 6,664 rows and 44M elements at n = 20000)
+    # span, not one row's (a band of 6,665 rows and 44M elements at n = 20000)
     letters = list(fixed_point_prefix(DEKKING, 0, 20000).letters)
     letters[1 : 1 + p] = [3] * p  # a period-1 power at start 1 and none at 0
     check_bands_behind_an_early_hit(letters, 4, 1, p)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_band_sized_on_its_first_row_is_caught(mutate, p):
+    # negative control: rows sized on the first row's span alone overrun
+    # the bound behind the hit, 6,665 rows of 44M elements at p = 3; numpy
+    # refuses that view of the band buffer, and the check would see it
+    mutate(
+        detect,
+        "_band_rows",
+        "return max(1, min(r, bound // (smax + (p - 2) * (t + r - 1))))",
+        "return max(1, r)",
+    )
+    with ScanLog() as log, pytest.raises((AssertionError, TypeError)):
+        test_band_stays_within_its_element_bound_behind_an_early_hit(p)
+    assert any(r * (smax + (p - 2) * (t + r - 1)) > detect._BAND_ELEMENTS for t, r, smax in log.bands)
 
 
 def lone_hit():
