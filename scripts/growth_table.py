@@ -50,7 +50,10 @@ def main() -> int:
         families = [parse_family(t) for t in (args.family or DEFAULT_FAMILIES)]
         _check_int(args.n_max, "--n-max", 1)
         if args.out_dir is not None:
-            args.out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                args.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InvalidInputError(f"--out-dir {args.out_dir}: {exc.strerror}") from None
         for k, m, p in families:
             table = count_avoiding(
                 k, m, p, args.n_max,

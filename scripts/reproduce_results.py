@@ -167,7 +167,10 @@ def main() -> int:
     try:
         _check_int(cfg.scan_len, "--scan-len", 0)
         _check_int(cfg.search_cap, "--search-cap", 1)
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInputError(f"--out {cfg.out}: {exc.strerror}") from None
         ok &= reproduce_prefixes(cfg)
         ok &= reproduce_scans(cfg)
         ok &= reproduce_searches(cfg)

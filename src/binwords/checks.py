@@ -20,9 +20,10 @@ Checks, by registry name:
   cyclic           moving a boundary 1 (or 0) across a binary word shifts
                    the 01/10 counts by the complementary letter count; the
                    0-boundary implication is checked in mirrored form
-  cube-mod1        no order-2 triple power matches the image shape offset
-                   by one position (exhaustive over shape parameters)
-  cube-mod2        same, offset by two positions
+  cube-mod1        no three blocks of length 3n + 1 starting at offsets 0, 1
+                   and 2 of binary-generator images are pairwise order-2
+                   equivalent (exhaustive over all such blocks)
+  cube-mod2        same for length 3n + 2, offsets 0, 2 and 1
   image-cube-free  images of order-2-cube-free binary words under the
                    binary generator stay order-2-cube-free
   identities       pair and diagonal count identities against letter counts
@@ -39,6 +40,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain, product
 from math import comb
 from typing import Callable, Optional
@@ -205,7 +207,8 @@ def _mirror(run: _Run, scan_len: int, max_factor: int, margin: int, fault: bool)
                 run.note(f"mirror of {f} appeared only past the margin")
                 continue
         run.violation(f"mirror {rev} of factor {f} not found")
-    run.note(f"distinct factors: {len(factors)}; margin escalations: {escalations}")
+    summary = f"distinct factors: {len(factors)}; margin escalations: {escalations}"
+    run.notes[NOTE_CAP - 1 :] = [summary]  # kept: takes the last slot if notes fill the cap
 
 
 def _full_decode(w: Word, f: Morphism) -> Optional[Word]:
@@ -333,68 +336,40 @@ def _cyclic(run: _Run, trials: int, max_len: int, seed: int, fault: bool) -> Non
     run.note(f"implication pairs at length {impl_len}: {pairs}")
 
 
-def _cube_shape_check(
-    run: _Run,
-    n: int,
-    order: int,
-    first_blocks: list[Word],
-    second_blocks: list[Word],
-    third_blocks: list[Word],
-    expected_len: int,
-) -> None:
-    for w in first_blocks + second_blocks + third_blocks:
-        if len(w) != expected_len:
-            run.violation(f"shape length {len(w)} != {expected_len} at n={n}")
-            return
-    second = {}
-    for w in second_blocks:
-        second.setdefault(signature(w, order).counts, str(w))
-    third = {}
-    for w in third_blocks:
-        third.setdefault(signature(w, order).counts, str(w))
-    run.tick(weight=len(first_blocks) * len(second_blocks) * len(third_blocks))
-    for w in first_blocks:
-        sig = signature(w, order).counts
-        if sig in second and sig in third:
-            run.violation(
-                f"n={n}: equivalent triple {w!s} / {second[sig]} / {third[sig]}"
-            )
-
-
-def _cube_mod1(run: _Run, n_max: int, fault: bool) -> None:
-    """No triple of blocks shaped image(p')0 / a1image(q')0b / 1image(r')
-    is pairwise equivalent at order 2 (order 1 under fault, where triples
-    exist and the check must fail).  Exhaustive over all shape parameters
-    with 1 <= n <= n_max."""
+def _h_blocks(offset: int, length: int) -> list[Word]:
+    """Every block of length >= 2 starting at that offset of an h-image 0a1:
+    the rest of that image (nothing, a1 or 1), whole images h(y), then the
+    start of one more (nothing, 0 or 0b); y varies slowest, then a, then b."""
+    rests = ([()], [(0, 1), (1, 1)], [(1,)])[offset]
+    n, extra = divmod(length - len(rests[0]), 3)
+    tails = ([()], [(0,)], [(0, 0), (0, 1)])[extra]
     h = PRESETS["h"].morphism
-    order = 1 if fault else 2
-    zero = Word((0,), _A2)
-    one = Word((1,), _A2)
-    for n in range(1, n_max + 1):
-        first = [h(w) + zero for w in _binary_words(n)]
-        second = [
-            Word((a,), _A2) + one + h(w) + zero + Word((b,), _A2)
-            for w in _binary_words(n - 1)
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-        third = [one + h(w) for w in _binary_words(n)]
-        _cube_shape_check(run, n, order, first, second, third, 3 * n + 1)
+    return [
+        Word._trusted(rest + image + tail, _A2)
+        for image in (h(y).letters for y in _binary_words(n))
+        for rest in rests
+        for tail in tails
+    ]
 
 
-def _cube_mod2(run: _Run, n_max: int, fault: bool) -> None:
-    """No triple shaped image(p')0a / 1image(q')0 / b1image(r') is pairwise
-    equivalent at order 2 (order 1 under fault).  Exhaustive for 0 <= n <= n_max."""
-    h = PRESETS["h"].morphism
+def _cube_mod(run: _Run, n_max: int, fault: bool, r: int) -> None:
+    """No triple of blocks of length 3n + r starting at offsets 0, r and 2r
+    (mod 3) of h-images is pairwise equivalent at order 2 (order 1 under
+    fault, where triples exist and the check must fail).  Exhaustive for
+    2 - r <= n <= n_max."""
     order = 1 if fault else 2
-    zero = Word((0,), _A2)
-    one = Word((1,), _A2)
-    for n in range(0, n_max + 1):
-        words = _binary_words(n)
-        first = [h(w) + zero + Word((a,), _A2) for w in words for a in (0, 1)]
-        second = [one + h(w) + zero for w in words]
-        third = [Word((b,), _A2) + one + h(w) for w in words for b in (0, 1)]
-        _cube_shape_check(run, n, order, first, second, third, 3 * n + 2)
+    for n in range(2 - r, n_max + 1):
+        first, second, third = (_h_blocks(r * i % 3, 3 * n + r) for i in range(3))
+        # each signature of a later block, named by the first block listed
+        named2, named3 = (
+            {signature(w, order).counts: str(w) for w in reversed(blocks)}
+            for blocks in (second, third)
+        )
+        run.tick(weight=len(first) * len(second) * len(third))
+        for w in first:
+            sig = signature(w, order).counts
+            if sig in named2 and sig in named3:
+                run.violation(f"n={n}: equivalent triple {w!s} / {named2[sig]} / {named3[sig]}")
 
 
 def __getattr__(name: str):
@@ -546,8 +521,8 @@ _CHECKS: dict[str, tuple[Callable[..., None], tuple[_Field, ...]]] = {
         _cyclic,
         (("trials", "cyclic_trials", 0), ("max_len", "cyclic_max_len", 0), _SEED),
     ),
-    "cube-mod1": (_cube_mod1, (("n_max", "cube_n_max", 1),)),
-    "cube-mod2": (_cube_mod2, (("n_max", "cube_n_max", 0),)),
+    "cube-mod1": (partial(_cube_mod, r=1), (("n_max", "cube_n_max", 1),)),
+    "cube-mod2": (partial(_cube_mod, r=2), (("n_max", "cube_n_max", 0),)),
     "image-cube-free": (
         _image_cube_free,
         (

@@ -212,10 +212,14 @@ def cmd_verify(args) -> int:
             identity_trials=args.trials,
             consistency_trials=args.trials,
         )
+    if args.results_dir is not None:  # an unusable path exits 2 before the battery runs
+        try:
+            os.makedirs(args.results_dir, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInputError(f"--results-dir {args.results_dir}: {exc.strerror}") from None
     names = args.check if args.check else None
     reports = run_all(cfg, names=names)
     if args.results_dir is not None:
-        os.makedirs(args.results_dir, exist_ok=True)
         for rep in reports:
             path = os.path.join(args.results_dir, f"{rep.name}.json")
             with open(path, "w", encoding="utf-8") as fh:

@@ -148,10 +148,11 @@ def test_06_matrix_identity_at_scale():
 def test_07_unaligned_cube_exhaustives():
     t0 = time.perf_counter()
     cfg = CheckConfig(cube_n_max=6)
-    for name in ("cube-mod1", "cube-mod2"):
+    # sum of 2^(3n+1) over n = 1..6 and of 2^(3n+2) over n = 0..6
+    for name, instances in (("cube-mod1", 599_184), ("cube-mod2", 1_198_372)):
         rep = run_check(name, cfg)
         assert rep.passed, rep.violations
-        assert rep.instances > 0
+        assert rep.instances == instances
     assert time.perf_counter() - t0 < 600
     print("ACCEPTANCE 7: PASS")
 

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from binwords import (
     CHECK_NAMES,
     CheckConfig,
     InvalidInputError,
+    PRESETS,
     aggregate,
     aggregate_exit_code,
     run_all,
@@ -50,6 +54,8 @@ SMALL_PINS = {
     "cyclic": (1064, 532),
     "matrix": (303, 272),
     "image-cube-free": (531, 155),
+    "cube-mod1": (9360, 26),
+    "cube-mod2": (18724, 57),
 }
 
 
@@ -204,9 +210,16 @@ class TestCheckSemantics:
         assert b.instances > a.instances
 
     def test_cube_checks_count_triples(self):
-        rep1 = run_check("cube-mod1", SMALL)
-        rep2 = run_check("cube-mod2", SMALL)
-        assert rep1.instances > 0 and rep2.instances > 0
+        # 2^n, 2^(n+1) and 2^(n+1) blocks per offset at length 3n + 1 (n >= 1),
+        # 2^(n+1), 2^n and 2^(n+1) at length 3n + 2 (n >= 0)
+        for n_max in range(1, 6):
+            cfg = small(cube_n_max=n_max)
+            assert run_check("cube-mod1", cfg).instances == sum(
+                2 ** (3 * n + 1) for n in range(1, n_max + 1)
+            )
+            assert run_check("cube-mod2", cfg).instances == sum(
+                2 ** (3 * n + 2) for n in range(n_max + 1)
+            )
 
     def test_image_cube_check_covers_exhaustive_range(self):
         rep = run_check("image-cube-free", small(image_trials=0))
@@ -217,6 +230,59 @@ class TestCheckSemantics:
         rep = run_check("mirror", SMALL)
         assert rep.params["scan_len"] == 300
         assert rep.params["max_factor"] == 8
+
+    def test_mirror_summary_note_survives_the_cap(self):
+        # 107 factors need the wide margin; their notes would fill the cap
+        cfg = CheckConfig(mirror_scan_len=20, mirror_margin=20, mirror_max_factor=20)
+        rep = run_check("mirror", cfg)
+        assert rep.passed
+        assert len(rep.notes) == checks.NOTE_CAP
+        assert rep.notes[-1] == "distinct factors: 161; margin escalations: 107"
+        assert all("past the margin" in note for note in rep.notes[:-1])
+
+
+def _h_factors(offset, length):
+    """The length-letter factors at positions congruent to offset mod 3 of
+    h(y), over every binary y long enough to hold one at each such position."""
+    h = PRESETS["h"].morphism
+    out = set()
+    for y in product("01", repeat=(length + 2) // 3 + 1):
+        image = str(h("".join(y)))
+        out.update(image[i : i + length] for i in range(offset, len(image) - length + 1, 3))
+    return out
+
+
+def _h_blocks_mismatches():
+    """(offset, length) pairs where _h_blocks repeats a block or differs from
+    the brute-force factor set."""
+    bad = []
+    for offset, length in product(range(3), range(2, 13)):
+        blocks = [str(w) for w in checks._h_blocks(offset, length)]
+        if len(blocks) != len(set(blocks)) or set(blocks) != _h_factors(offset, length):
+            bad.append((offset, length))
+    return bad
+
+
+def test_h_blocks_are_the_factors_at_each_image_offset():
+    assert _h_blocks_mismatches() == []
+
+
+def test_h_blocks_with_swapped_rests_are_caught(mutate):
+    mutate(
+        checks, "_h_blocks",
+        "([()], [(0, 1), (1, 1)], [(1,)])", "([()], [(1,)], [(0, 1), (1, 1)])",
+    )
+    assert len(_h_blocks_mismatches()) > 0
+
+
+def test_cheap_battery_checks_match_the_benchmark_expectations():
+    # the default-size results that perfbench's battery gates on, read, not
+    # written: a change to them fails here before any benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))["battery"]
+    for name in ("erasure", "mirror", "cube-mod1", "cube-mod2"):
+        rep = run_check(name, CheckConfig())
+        assert {"passed": rep.passed, "instances": rep.instances} == expected[name], name
 
 
 # every check's params at SMALL, keys in report order: the sizes, the seed

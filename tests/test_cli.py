@@ -355,6 +355,23 @@ class TestVerify:
         with open(outdir / "erasure.json", encoding="utf-8") as fh:
             assert json.load(fh)["name"] == "erasure"
 
+    @pytest.mark.parametrize("under", ["", "results"])
+    def test_unusable_results_dir_exit_two_before_the_battery(
+        self, capsys, tmp_path, monkeypatch, under
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(
+            "binwords.cli.run_all", lambda *a, **k: pytest.fail("the battery ran")
+        )
+        code, out, err = run(
+            capsys, "verify", "--check", "erasure", "--results-dir", str(blocker / under)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("binwords: --results-dir ")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
+
     def test_threads_option_removed(self, capsys):
         code, out, err = run(capsys, "verify", "--check", "erasure", "--threads", "-2")
         assert code == 2

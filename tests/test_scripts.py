@@ -60,30 +60,48 @@ def test_growth_table_small_run():
         ("--family", "3,2,2", "--family", "2,5,2", "--n-max", "5"),
         ("--family", "3,2,2", "--family", "2,2,1", "--n-max", "5"),
         ("--family", "3,2,2", "--n-max", "0"),
+        # an --out-dir that is a file or lies under one: refused before the first table
+        ("--n-max", "5", "--out-dir", "{file}"),
+        ("--n-max", "5", "--out-dir", "{file}/tables"),
     ],
 )
 def test_growth_table_bad_input_exit_two(tmp_path, args):
     out_dir = tmp_path / "tables"
-    proc = run_script("growth_table.py", *args, "--out-dir", str(out_dir))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [a.format(file=blocker) for a in args]
+    proc = run_script("growth_table.py", "--out-dir", str(out_dir), *args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("growth_table: ")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert not out_dir.exists()
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize(
-    "args", [("--scan-len", "300", "--search-cap", "0"), ("--scan-len", "-1")]
+    "args",
+    [
+        ("--scan-len", "300", "--search-cap", "0"),
+        ("--scan-len", "-1"),
+        # an --out that is a file or lies under one
+        ("--out", "{file}"),
+        ("--out", "{file}/out"),
+    ],
 )
 def test_reproduce_results_bad_input_exit_two(tmp_path, args):
     # checked before the first stage: nothing printed, no artifact written
     out = tmp_path / "out"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [a.format(file=blocker) for a in args]
     proc = run_script("reproduce_results.py", "--out", str(out), *args, "--skip-battery")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("reproduce_results: ")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert not out.exists()
+    assert blocker.read_text() == ""
 
 
 def test_bench_unknown_parent_exit_two(tmp_path):
