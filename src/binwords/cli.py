@@ -81,14 +81,18 @@ def _effective_budget(args) -> Optional[int]:
     return None
 
 
-def _progress_printer(quiet: bool):
-    if quiet:
-        return None
+def _walk_options(args) -> dict:
+    """The keywords that search and count both pass on to their walk."""
 
     def emit(depth: int, nodes: int, alive: int) -> None:
         print(f"depth={depth} nodes={nodes} alive={alive}", file=sys.stderr)
 
-    return emit
+    return dict(
+        symmetry=args.symmetry,
+        node_budget=args.node_budget,
+        budget_ms=_effective_budget(args),
+        progress=None if args.quiet else emit,
+    )
 
 
 def cmd_binomial(args) -> int:
@@ -165,32 +169,14 @@ def cmd_detect(args) -> int:
 
 def cmd_search(args) -> int:
     from .search import longest_avoiding
-    cert = longest_avoiding(
-        args.k,
-        args.m,
-        args.p,
-        args.cap,
-        symmetry=args.symmetry,
-        node_budget=args.node_budget,
-        budget_ms=_effective_budget(args),
-        progress=_progress_printer(args.quiet),
-    )
+    cert = longest_avoiding(args.k, args.m, args.p, args.cap, **_walk_options(args))
     print(_dump(cert.to_dict()))
     return 3 if cert.outcome == "budget_abort" else 0
 
 
 def cmd_count(args) -> int:
     from .search import count_avoiding
-    table = count_avoiding(
-        args.k,
-        args.m,
-        args.p,
-        args.n_max,
-        symmetry=args.symmetry,
-        node_budget=args.node_budget,
-        budget_ms=_effective_budget(args),
-        progress=_progress_printer(args.quiet),
-    )
+    table = count_avoiding(args.k, args.m, args.p, args.n_max, **_walk_options(args))
     sys.stdout.write(table.to_tsv())
     return 0
 
@@ -289,27 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("search", help="longest word avoiding m-binomial p-powers")
-    p.add_argument("-k", type=int, required=True, help="alphabet size")
-    p.add_argument("-m", type=int, default=2)
-    p.add_argument("-p", type=int, default=2)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--symmetry", action="store_true", help="fix the first letter")
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--quiet", action="store_true", help="no progress on stderr")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("count", help="count avoiding words per length (TSV)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, default=2)
-    p.add_argument("-p", type=int, default=2)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_count)
+    for name, summary, limit, func in (
+        ("search", "longest word avoiding m-binomial p-powers", "--cap", cmd_search),
+        ("count", "count avoiding words per length (TSV)", "--n-max", cmd_count),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-k", type=int, required=True, help="alphabet size")
+        p.add_argument("-m", type=int, default=2)
+        p.add_argument("-p", type=int, default=2)
+        p.add_argument(limit, type=int, required=True)
+        p.add_argument("--symmetry", action="store_true", help="fix the first letter")
+        p.add_argument("--node-budget", type=int, default=None)
+        p.add_argument("--budget-ms", type=int, default=None)
+        p.add_argument("--quiet", action="store_true", help="no progress on stderr")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument(

@@ -372,5 +372,7 @@ def scan_fixed_point(
     budget_ms: Optional[int] = None,
 ) -> ScanReport:
     """Generate the length-n fixed-point prefix of f at a, then scan it."""
+    if n >= _VECTOR_MAX_LEN:  # refused before a prefix too long for the int64 keys is built
+        raise InvalidInputError(f"prefix length must be below {_VECTOR_MAX_LEN}")
     prefix = fixed_point_prefix(f, a, n)
     return scan_word(prefix, m, p, engine=engine, budget_ms=budget_ms)

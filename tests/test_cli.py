@@ -154,6 +154,15 @@ class TestDetect:
         assert code == 0
         assert json.loads(out)["found"] is False
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_prefix_past_the_int64_keys_exit_two_before_it_is_built(self, capsys, monkeypatch, m):
+        monkeypatch.setattr(
+            "binwords.detect.fixed_point_prefix", lambda *a: pytest.fail("a prefix was built")
+        )
+        code, out, err = run(capsys, "detect", "--preset", "g", "-n", "2147483648", "-m", str(m))
+        assert (code, out) == (2, "")
+        assert err == "binwords: prefix length must be below 2147483648\n"
+
     def test_generate_single_letter(self, capsys):
         assert run(capsys, "generate", "g", "1") == (0, "0\n", "")
 
@@ -199,6 +208,10 @@ class TestDetect:
         code, out, err = run(capsys, "detect", "--word", "0101", *option)
         assert (code, out) == (2, "")
         assert option[0] in err
+
+
+# the two walk commands with each one's depth limit and its metavar
+WALKS = [("search", "--cap", "CAP"), ("count", "--n-max", "N_MAX")]
 
 
 class TestSearchAndCount:
@@ -302,6 +315,31 @@ class TestSearchAndCount:
         code, out, err = run(capsys, "count", "-k", "3", "-m", "2", "-p", "2", "--n-max", "0")
         assert (code, out) == (2, "")
         assert err == "binwords: n_max must be >= 1, got 0\n"
+
+    # search and count share one block of walk options; each case runs for both
+    @pytest.mark.parametrize("command, limit", [w[:2] for w in WALKS], ids=["search", "count"])
+    @pytest.mark.parametrize(
+        "option, want_code, want_err",
+        [
+            (("--budget-ms", "0"), 3, "binwords: budget exhausted: budget of 0 ms leaves no time to search\n"),
+            (("-k", "9"), 2, "binwords: alphabet size must be in 1..8, got 9\n"),
+        ],
+        ids=["budget-ms-0", "k-9"],
+    )
+    def test_walk_option_refusals(self, capsys, command, limit, option, want_code, want_err):
+        argv = [command, "-k", "3", "-m", "2", "-p", "2", limit, "30", *option, "--quiet"]
+        assert run(capsys, *argv) == (want_code, "", want_err)
+
+    @pytest.mark.parametrize("command, limit, metavar", WALKS, ids=["search", "count"])
+    def test_missing_limit_is_a_usage_error(self, capsys, command, limit, metavar):
+        code, out, err = run(capsys, command, "-k", "3", "-m", "2", "-p", "2")
+        assert (code, out) == (2, "")
+        *usage, error = err.splitlines()
+        assert error == f"binwords {command}: error: the following arguments are required: {limit}"
+        assert " ".join(" ".join(usage).split()) == (
+            f"usage: binwords {command} [-h] -k K [-m M] [-p P] {limit} {metavar}"
+            " [--symmetry] [--node-budget NODE_BUDGET] [--budget-ms BUDGET_MS] [--quiet]"
+        )
 
     def test_count_symmetry(self, capsys):
         code, out, _ = run(

@@ -37,48 +37,6 @@ def test_reproduce_results_budget_exit_three(tmp_path):
     assert (tmp_path / "out" / "prefixes.tsv").exists()
 
 
-def test_growth_table_node_budget_exit_three():
-    proc = run_script("growth_table.py", "--n-max", "30", "--node-budget", "10")
-    assert proc.returncode == 3, proc.stderr
-    assert "budget" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_growth_table_small_run():
-    proc = run_script("growth_table.py", "--n-max", "5")
-    assert proc.returncode == 0, proc.stderr
-    assert "length\tcount\n" in proc.stdout
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("--n-max", "0"),
-        ("--family", "9,2,2"),
-        # a bad family or --n-max after a good family: no table is printed
-        ("--family", "3,2,2", "--family", "9,2,2", "--n-max", "5"),
-        ("--family", "3,2,2", "--family", "2,5,2", "--n-max", "5"),
-        ("--family", "3,2,2", "--family", "2,2,1", "--n-max", "5"),
-        ("--family", "3,2,2", "--n-max", "0"),
-        # an --out-dir that is a file or lies under one: refused before the first table
-        ("--n-max", "5", "--out-dir", "{file}"),
-        ("--n-max", "5", "--out-dir", "{file}/tables"),
-    ],
-)
-def test_growth_table_bad_input_exit_two(tmp_path, args):
-    out_dir = tmp_path / "tables"
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    args = [a.format(file=blocker) for a in args]
-    proc = run_script("growth_table.py", "--out-dir", str(out_dir), *args)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("growth_table: ")
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stdout == ""
-    assert not out_dir.exists()
-    assert blocker.read_text() == ""
-
-
 @pytest.mark.parametrize(
     "args",
     [
