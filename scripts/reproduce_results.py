@@ -12,7 +12,8 @@ Covers, at the default scale:
 Everything lands in --out as JSON/text, plus a console summary.  Exits 1
 if any computation disagrees with the frozen expectations, else 3 if a
 --budget-ms budget ran out before every computation finished; exits 2 on
-bad input such as a --search-cap below 1, checked before any stage runs.
+bad input such as a --search-cap below 1 or a --scan-len below 2, checked
+before any stage runs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from binwords import (
     run_all,
     scan_fixed_point,
 )
-from binwords.words import _check_int
+from binwords.words import LENGTH_LIMIT, _check_int
 
 EXPECTED_PREFIXES = {
     "g": "012021012102012021020121",
@@ -165,7 +166,8 @@ def main() -> int:
 
     ok = True
     try:
-        _check_int(cfg.scan_len, "--scan-len", 0)
+        # an h prefix of fewer than 2 letters holds no square, which its scan expects
+        _check_int(cfg.scan_len, "--scan-len", 2, LENGTH_LIMIT)
         _check_int(cfg.search_cap, "--search-cap", 1)
         try:
             cfg.out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ from importlib import import_module
 from .errors import (
     BinwordsError,
     BudgetExceededError,
-    CountOverflowError,
     InvalidInputError,
     MorphismParseError,
     NotPrefixCodeError,
@@ -23,6 +22,7 @@ from .errors import (
 from .words import (
     Alphabet,
     BinomialSignature,
+    LENGTH_LIMIT,
     MAX_ALPHABET,
     MAX_ORDER,
     PrefixIndex,
@@ -80,9 +80,9 @@ __all__ = [
     "CHECK_NAMES",
     "CheckConfig",
     "CheckReport",
-    "CountOverflowError",
     "CountTable",
     "InvalidInputError",
+    "LENGTH_LIMIT",
     "LiftedMatrix",
     "MAX_ALPHABET",
     "MAX_ORDER",

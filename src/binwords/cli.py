@@ -29,12 +29,7 @@ from .checks import (
     aggregate_exit_code,
     run_all,
 )
-from .errors import (
-    BinwordsError,
-    BudgetExceededError,
-    CountOverflowError,
-    InvalidInputError,
-)
+from .errors import BinwordsError, BudgetExceededError, InvalidInputError
 from .morphisms import (
     Morphism,
     PRESETS,
@@ -324,7 +319,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"binwords: budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, CountOverflowError) as exc:
+    except InvalidInputError as exc:
         print(f"binwords: {exc}", file=sys.stderr)
         return 2
     except BinwordsError as exc:

@@ -28,13 +28,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BinwordsError, Budget, CountOverflowError, InvalidInputError
+from .errors import BinwordsError, Budget, InvalidInputError
 from .morphisms import Morphism, fixed_point_prefix
 from .words import (
+    LENGTH_LIMIT,
     Alphabet,
     PrefixIndex,
     Word,
     WordLike,
+    _check_int,
     _check_order,
     _check_power,
     signature,
@@ -43,8 +45,6 @@ from .words import (
 
 # below it the python engine is faster: a numpy scan's fixed cost per call outweighs its work
 _VECTOR_MIN_LEN = 64
-# below it every _key_plan field fits one _KEY_BITS key: tests/test_vector.py
-_VECTOR_MAX_LEN = 2**31
 _KEY_BITS = 62  # per int64 key, so keys and their differences fit int64
 # odd, about 2**16 / the golden ratio: the fingerprint's multipliers are its odd multiples
 _FINGERPRINT_STEP = 0x9E37
@@ -318,13 +318,11 @@ def find_power(
     n = len(wd)
     if engine not in ("auto", "python", "vector"):
         raise InvalidInputError(f"unknown engine {engine!r}")
-    if engine == "vector":
-        if m > 2:
-            raise InvalidInputError("the vector engine supports orders 1 and 2 only")
-        if n >= _VECTOR_MAX_LEN:
-            raise CountOverflowError("word too long for the fixed-width vector engine")
+    if engine == "vector" and m > 2:
+        raise InvalidInputError("the vector engine supports orders 1 and 2 only")
+    _check_int(n, "word length", below=LENGTH_LIMIT)
     if engine == "auto":
-        engine = "vector" if (m <= 2 and _VECTOR_MIN_LEN <= n < _VECTOR_MAX_LEN) else "python"
+        engine = "vector" if (m <= 2 and n >= _VECTOR_MIN_LEN) else "python"
     occ = (_find_vector if engine == "vector" else _find_python)(wd, m, p, Budget("scan", budget_ms))
     if occ is not None:
         _verify_occurrence(wd, occ)
@@ -372,7 +370,5 @@ def scan_fixed_point(
     budget_ms: Optional[int] = None,
 ) -> ScanReport:
     """Generate the length-n fixed-point prefix of f at a, then scan it."""
-    if n >= _VECTOR_MAX_LEN:  # refused before a prefix too long for the int64 keys is built
-        raise InvalidInputError(f"prefix length must be below {_VECTOR_MAX_LEN}")
     prefix = fixed_point_prefix(f, a, n)
     return scan_word(prefix, m, p, engine=engine, budget_ms=budget_ms)

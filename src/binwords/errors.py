@@ -30,10 +30,6 @@ class NotPrefixCodeError(InvalidInputError):
     """Decoding requires the image set to be a prefix code."""
 
 
-class CountOverflowError(BinwordsError, OverflowError):
-    """Input is large enough that the fixed-width fast path could overflow."""
-
-
 class BudgetExceededError(BinwordsError):
     """A configured node or wall-clock budget ran out."""
 

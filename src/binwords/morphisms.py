@@ -22,6 +22,7 @@ from .errors import (
     NotProlongableError,
 )
 from .words import (
+    LENGTH_LIMIT,
     Alphabet,
     BinomialSignature,
     Word,
@@ -151,7 +152,7 @@ def fixed_point_prefix(f: Morphism, a: int, n: int) -> Word:
     consumed letter appends its image, and prolongability guarantees the
     buffer outruns the read head.
     """
-    _check_int(n, "prefix length", 0)
+    _check_int(n, "prefix length", 0, LENGTH_LIMIT)
     if not is_prolongable(f, a):
         raise NotProlongableError(f"morphism is not prolongable on letter {a}")
     buf = list(f.images[a])

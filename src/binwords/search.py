@@ -34,7 +34,7 @@ children of a batch, or of the search word (_KeyWord), at every period.
 Survivors go back on a stack of batches, so the pending key histories
 stay within about n_max * k * _BATCH rows.  A count's table ends at n_max
 or at the first length with no survivor, and a count refuses n_max >=
-detect._VECTOR_MAX_LEN at every order.  Its budget is ticked per batch,
+words.LENGTH_LIMIT at every order.  Its budget is ticked per batch,
 and child by child in a batch that would pass a unit cap, so it aborts on
 the same node every run; progress is reported when a batch first reaches
 a depth, in batch order.
@@ -49,9 +49,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BinwordsError, Budget, BudgetExceededError, InvalidInputError
-from .words import Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
-from .detect import _VECTOR_MAX_LEN, _key_growth
-from .detect import is_power_free
+from .words import LENGTH_LIMIT, Alphabet, PrefixIndex, Word, _check_int, _check_order, _check_power
+from .detect import _key_growth, is_power_free
 
 # depth, nodes, survivors at depth, reported when a survivor first reaches
 # the depth; a count weighs both by orbit, so they include the renamings of
@@ -176,7 +175,7 @@ class _KeyWord:
     keys.  hits() is _children on a batch of one."""
 
     def __init__(self, k: int, m: int, p: int, cap: int) -> None:
-        self._bound = min(cap, _VECTOR_MAX_LEN - 1)
+        self._bound = min(cap, LENGTH_LIMIT - 1)
         unit, weight = _key_growth(k, m, self._bound)
         # grow[a, c] is what one more letter a adds to letter c's step
         self._grow = weight.transpose(2, 1, 0)
@@ -437,10 +436,7 @@ def count_avoiding(
     """
     opts = dict(symmetry=symmetry, node_budget=node_budget, budget_ms=budget_ms, progress=progress)
     _check_order(m)
-    _check_int(n_max, "n_max", 1)
-    # at orders 1, 2 the int64 keys hold shorter words only
-    if n_max >= _VECTOR_MAX_LEN:
-        raise InvalidInputError(f"n_max must be below {_VECTOR_MAX_LEN}")
+    _check_int(n_max, "n_max", 1, LENGTH_LIMIT)
     if m <= 2:
         res = _count_batched(k, m, p, n_max, **opts)
     else:

@@ -26,6 +26,9 @@ from .errors import InvalidInputError, UnsupportedOrderError
 
 MAX_ALPHABET = 8
 MAX_ORDER = 4  # order 2 carries the paper's results; 3 and 4 check its lemmas
+# every word built, scanned or counted is shorter, so detect's int64 keys
+# hold it: tests/test_vector.py
+LENGTH_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,18 @@ def _check_order(m: int) -> None:
         raise UnsupportedOrderError(f"order {m} exceeds the cap {MAX_ORDER}")
 
 
-def _check_int(value: object, name: str, least: Optional[int] = None) -> None:
-    """The package's one rule for integer sizes: an int, not a bool, and at
-    least `least` when one is given; the message names the field."""
+def _check_int(
+    value: object, name: str, least: Optional[int] = None, below: Optional[int] = None
+) -> None:
+    """The package's one rule for integer sizes: an int, not a bool, at
+    least `least` and less than `below` when they are given; the message
+    names the field."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    if below is not None and value >= below:
+        raise InvalidInputError(f"{name} must be below {below}")
 
 
 def _check_power(p: int) -> None:

@@ -156,10 +156,19 @@ class TestDetect:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_prefix_past_the_int64_keys_exit_two_before_it_is_built(self, capsys, monkeypatch, m):
+        # fixed_point_prefix refuses the length before it asks is_prolongable
         monkeypatch.setattr(
-            "binwords.detect.fixed_point_prefix", lambda *a: pytest.fail("a prefix was built")
+            "binwords.morphisms.is_prolongable", lambda *a: pytest.fail("a prefix was built")
         )
         code, out, err = run(capsys, "detect", "--preset", "g", "-n", "2147483648", "-m", str(m))
+        assert (code, out) == (2, "")
+        assert err == "binwords: prefix length must be below 2147483648\n"
+
+    def test_generate_past_the_int64_keys_exit_two_before_it_is_built(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "binwords.morphisms.is_prolongable", lambda *a: pytest.fail("a prefix was built")
+        )
+        code, out, err = run(capsys, "generate", "g", "2147483648")
         assert (code, out) == (2, "")
         assert err == "binwords: prefix length must be below 2147483648\n"
 
@@ -301,7 +310,7 @@ class TestSearchAndCount:
     @pytest.mark.parametrize("m", [2, 3])
     def test_count_past_the_int64_keys_exit_two(self, capsys, m):
         # an order-1/2 count keeps int64 keys, which hold words shorter than
-        # detect._VECTOR_MAX_LEN, and a count at every order may tabulate
+        # words.LENGTH_LIMIT, and a count at every order may tabulate
         # n_max counts; a longer n_max is refused before any of them is built
         code, out, err = run(
             capsys,

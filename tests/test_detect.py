@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import binwords.detect as detect
 from binwords import (
     BudgetExceededError,
-    CountOverflowError,
     InvalidInputError,
     PRESETS,
     ScanReport,
@@ -166,12 +165,15 @@ class TestEngines:
             find_power("01" * 40, 3, 2, engine="vector")
 
     def test_vector_length_guard(self, monkeypatch):
-        monkeypatch.setattr(detect, "_VECTOR_MAX_LEN", 50)
+        # a word of words.LENGTH_LIMIT letters or more is refused at every
+        # order and by every engine; one letter less is scanned
+        monkeypatch.setattr(detect, "LENGTH_LIMIT", 80)
         w = "01" * 40
-        with pytest.raises(CountOverflowError):
-            find_power(w, 2, 2, engine="vector")
-        # auto mode falls back to the python engine instead
-        assert occ_pair(find_power(w, 2, 2)) == (0, 2)
+        for m in (1, 2, 3):
+            for engine in ("auto", "python", "vector")[: 3 if m <= 2 else 2]:
+                with pytest.raises(InvalidInputError, match="^word length must be below 80$"):
+                    find_power(w, m, 2, engine=engine)
+                assert occ_pair(find_power(w[:-1], m, 2, engine=engine)) == (0, 2)
 
     def test_auto_picks_python_for_short_words(self):
         # no numpy path exists for tiny inputs; result must still be exact

@@ -37,11 +37,41 @@ def test_reproduce_results_budget_exit_three(tmp_path):
     assert (tmp_path / "out" / "prefixes.tsv").exists()
 
 
+SMALL_RUN = ("--skip-battery", "--scan-len", "300", "--search-cap", "20")
+
+
+def test_reproduce_results_pass(tmp_path):
+    out = tmp_path / "out"
+    proc = run_script("reproduce_results.py", "--out", str(out), *SMALL_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in out.iterdir()) == [
+        "lift_h_order2.json", "prefixes.tsv", "scans.json", "searches.json",
+    ]
+    assert json.loads((out / "lift_h_order2.json").read_text())["determinant"] == 243
+    certs = json.loads((out / "searches.json").read_text())["certificates"]
+    caps = [(c["k"], c["p"], c["outcome"], c["max_length"]) for c in certs if c["cap"] == 20]
+    assert caps == [(3, 2, "cap_reached", 20), (2, 3, "cap_reached", 20)]
+
+
+def test_reproduce_results_mismatch_exit_one(tmp_path, monkeypatch, capsys):
+    # negative control: one wrong frozen prefix fails a run that computes right
+    script = load_script("reproduce_results.py")
+    want = script.EXPECTED_PREFIXES["g"]
+    monkeypatch.setitem(script.EXPECTED_PREFIXES, "g", want[:-1] + "0")
+    argv = ["reproduce_results.py", "--out", str(tmp_path / "out"), *SMALL_RUN]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 1
+    assert capsys.readouterr().err == "MISMATCH against frozen expectations\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ("--scan-len", "300", "--search-cap", "0"),
         ("--scan-len", "-1"),
+        # an h prefix of 1 letter holds no square; 2**31 letters pass the int64 keys
+        ("--scan-len", "1"),
+        ("--scan-len", "2147483648"),
         # an --out that is a file or lies under one
         ("--out", "{file}"),
         ("--out", "{file}/out"),
@@ -142,11 +172,15 @@ def test_bench_claim_rule():
         assert rule["work_per_s"]["gain"] > 0
 
 
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+    return load_script("bench.py")
 
 
 def assert_no_bytecode(path: Path) -> None:

@@ -72,11 +72,12 @@ from binwords import (
     word,
 )
 from binwords.errors import Budget, InvalidInputError
+from binwords.words import LENGTH_LIMIT
 
 from oracles import naive_equivalent, naive_find_power
 
 INT64_LIMIT = 2**63
-BOUND_LENGTHS = [1, 2, 3, 7, 100, 511, 512, 20000, detect._VECTOR_MAX_LEN - 1]
+BOUND_LENGTHS = [1, 2, 3, 7, 100, 511, 512, 20000, LENGTH_LIMIT - 1]
 
 
 def d_bound(n):
@@ -179,8 +180,8 @@ class TestPackingBound:
                 check_plan(k, m, n)
 
     def test_vector_max_len_stays_in_int64(self):
-        # below _VECTOR_MAX_LEN every field fits one key on its own
-        n = detect._VECTOR_MAX_LEN - 1
+        # below LENGTH_LIMIT every field fits one key on its own
+        n = LENGTH_LIMIT - 1
         assert (n * n // 2).bit_length() <= 62
         for k in range(1, 9):
             check_plan(k, 2, n)

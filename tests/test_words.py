@@ -9,6 +9,7 @@ from binwords import (
     Alphabet,
     BinomialSignature,
     InvalidInputError,
+    LENGTH_LIMIT,
     MAX_ORDER,
     PrefixIndex,
     UnsupportedOrderError,
@@ -22,6 +23,7 @@ from binwords import (
     subword_count,
     word,
 )
+from binwords.words import _check_int
 
 from oracles import naive_signature, naive_subword_count, words_up_to
 
@@ -455,3 +457,13 @@ class TestHigherOrders:
         assert sig4.count(bword((0, 1, 1, 0))) == naive_subword_count(
             w.letters, (0, 1, 1, 0)
         )
+
+
+class TestIntegerRule:
+    def test_upper_bound_is_exclusive(self):
+        _check_int(LENGTH_LIMIT - 1, "n", 0, LENGTH_LIMIT)
+        with pytest.raises(InvalidInputError, match="^n must be below 2147483648$"):
+            _check_int(LENGTH_LIMIT, "n", 0, LENGTH_LIMIT)
+        # the least value is still checked first
+        with pytest.raises(InvalidInputError, match="^n must be >= 0, got -1$"):
+            _check_int(-1, "n", 0, LENGTH_LIMIT)
